@@ -28,7 +28,7 @@ use crate::bounds::{classify, reference_assignment, BoundCase};
 use wcms_core::evaluate::evaluate;
 use wcms_error::WcmsError;
 use wcms_gpu_sim::DeviceSpec;
-use wcms_mergesort::{BackendKind, SortParams};
+use wcms_mergesort::{sort_on, AnalyticBackend, SortParams, SortSpec};
 use wcms_workloads::WorkloadSpec;
 
 /// Layer A: diff the symbolic pass against the DMM oracle for every
@@ -124,7 +124,7 @@ pub fn crosscheck_cell(
     let spec = worst_workload(w, e);
     let input = spec.generate(n, w, e, b)?;
 
-    let (out, report) = BackendKind::Analytic.sort_with_report(&input, params)?;
+    let (out, report) = sort_on(&input, params, &AnalyticBackend, &SortSpec::default())?;
     let asg = reference_assignment(w, e)?;
     let sym = crate::bounds::alignment_of_assignment(&asg);
     let ev = evaluate(&asg)?;
@@ -172,7 +172,8 @@ pub fn crosscheck_cell(
     let beta2_worst = report.global_beta2();
     let beta2_sorted = if spec == WorkloadSpec::WorstCase {
         let sorted_input = WorkloadSpec::Sorted.generate(n, w, e, b)?;
-        let (_, sorted_report) = BackendKind::Analytic.sort_with_report(&sorted_input, params)?;
+        let (_, sorted_report) =
+            sort_on(&sorted_input, params, &AnalyticBackend, &SortSpec::default())?;
         let bs = sorted_report.global_beta2();
         if let (Some(worst), Some(sorted)) = (beta2_worst, bs) {
             if worst < sorted {

@@ -5,9 +5,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use wcms_bench::experiment::measure;
+use wcms_bench::experiment::measure_on;
 use wcms_gpu_sim::DeviceSpec;
-use wcms_mergesort::{sort_with_report, SortParams};
+use wcms_mergesort::{sort_on, BackendKind, SimBackend, SortParams, SortSpec};
 use wcms_workloads::WorkloadSpec;
 
 fn bench_fig4(c: &mut Criterion) {
@@ -25,10 +25,11 @@ fn bench_fig4(c: &mut Criterion) {
         ] {
             let input = spec.generate(n, params.w, params.e, params.b).unwrap();
             group.bench_with_input(BenchmarkId::new(label, wl), &input, |bencher, input| {
-                bencher.iter(|| sort_with_report(black_box(input), &params));
+                bencher
+                    .iter(|| sort_on(black_box(input), &params, &SimBackend, &SortSpec::default()));
             });
             // Print the modelled figure value alongside the wall-clock.
-            let m = measure(&device, &params, spec, n, 1).unwrap();
+            let m = measure_on(&device, &params, spec, n, 1, BackendKind::Sim).unwrap();
             eprintln!(
                 "fig4 {label}/{wl}: modelled {:.1} ME/s, beta2 {:.2}",
                 m.throughput / 1e6,

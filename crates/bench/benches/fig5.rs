@@ -4,9 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use wcms_bench::experiment::measure;
+use wcms_bench::experiment::measure_on;
 use wcms_gpu_sim::DeviceSpec;
-use wcms_mergesort::{sort_with_report, SortParams};
+use wcms_mergesort::{sort_on, BackendKind, SimBackend, SortParams, SortSpec};
 use wcms_workloads::WorkloadSpec;
 
 fn bench_fig5(c: &mut Criterion) {
@@ -24,9 +24,10 @@ fn bench_fig5(c: &mut Criterion) {
         ] {
             let input = spec.generate(n, params.w, params.e, params.b).unwrap();
             group.bench_with_input(BenchmarkId::new(label, wl), &input, |bencher, input| {
-                bencher.iter(|| sort_with_report(black_box(input), &params));
+                bencher
+                    .iter(|| sort_on(black_box(input), &params, &SimBackend, &SortSpec::default()));
             });
-            let m = measure(&device, &params, spec, n, 1).unwrap();
+            let m = measure_on(&device, &params, spec, n, 1, BackendKind::Sim).unwrap();
             eprintln!(
                 "fig5 {label}/{wl}: modelled {:.1} ME/s, beta2 {:.2}",
                 m.throughput / 1e6,

@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use wcms_core::WorstCaseBuilder;
-use wcms_mergesort::{sort_with_report, SortParams};
+use wcms_mergesort::{sort_on, SimBackend, SortParams, SortSpec};
 
 fn bench_fig6(c: &mut Criterion) {
     let params = SortParams::new(32, 17, 256).unwrap();
@@ -18,9 +18,9 @@ fn bench_fig6(c: &mut Criterion) {
         let input = builder.build(n).unwrap();
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::from_parameter(n), &input, |bencher, input| {
-            bencher.iter(|| sort_with_report(black_box(input), &params));
+            bencher.iter(|| sort_on(black_box(input), &params, &SimBackend, &SortSpec::default()));
         });
-        let (_, report) = sort_with_report(&input, &params).unwrap();
+        let (_, report) = sort_on(&input, &params, &SimBackend, &SortSpec::default()).unwrap();
         eprintln!(
             "fig6 n={n}: conflicts/element {:.3} (global rounds: {})",
             report.conflicts_per_element(),

@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::hint::black_box;
 use wcms_core::WorstCaseBuilder;
 use wcms_dmm::{BankModel, ConflictCounter, WarpStep};
-use wcms_mergesort::{sort_with_report, SortParams};
+use wcms_mergesort::{sort_on, SimBackend, SortParams, SortSpec};
 use wcms_workloads::random::random_permutation;
 
 fn bench_conflict_counter(c: &mut Criterion) {
@@ -33,7 +33,7 @@ fn bench_simulated_sort(c: &mut Criterion) {
     let worst = WorstCaseBuilder::new(params.w, params.e, params.b).unwrap().build(n).unwrap();
     for (label, input) in [("random", &random), ("worst", &worst)] {
         group.bench_with_input(BenchmarkId::from_parameter(label), input, |bencher, input| {
-            bencher.iter(|| sort_with_report(black_box(input), &params));
+            bencher.iter(|| sort_on(black_box(input), &params, &SimBackend, &SortSpec::default()));
         });
     }
     group.finish();

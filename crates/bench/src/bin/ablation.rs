@@ -18,9 +18,9 @@ use wcms_bench::experiment::model_time;
 use wcms_bench::panel::adhoc_binary_main;
 use wcms_bench::supervisor::parallel_map;
 use wcms_core::{WorstCaseBuilder, WorstCaseFamily};
-use wcms_error::WcmsError;
+use wcms_error::{CancelToken, WcmsError};
 use wcms_gpu_sim::{CostModel, DeviceSpec, Occupancy};
-use wcms_mergesort::{SortParams, SortReport};
+use wcms_mergesort::{SortParams, SortReport, SortSpec};
 use wcms_workloads::random::random_permutation;
 
 fn main() -> ExitCode {
@@ -31,9 +31,11 @@ fn main() -> ExitCode {
         let n = params.block_elems() << doublings;
         let builder = WorstCaseBuilder::new(params.w, params.e, params.b)?;
         let (backend, algorithm) = (args.backend, args.algorithm);
+        let spec = SortSpec { algorithm, ..SortSpec::default() };
+        let never = CancelToken::never();
 
         let report_of = |input: &[u32]| -> Result<SortReport, WcmsError> {
-            let (out, report) = backend.sort_algo_with_report(algorithm, input, &params)?;
+            let (out, report) = backend.sort(input, &params, &spec, &never)?;
             assert!(out.windows(2).all(|w| w[0] <= w[1]));
             Ok(report)
         };
@@ -100,7 +102,7 @@ fn main() -> ExitCode {
         let padded_params = SortParams::new(params.w, params.e, params.b)?.with_padding();
         let worst_input = builder.build(n)?;
         for (label, p) in [("flat tiles", &params), ("padded tiles", &padded_params)] {
-            let (out, r) = backend.sort_algo_with_report(algorithm, &worst_input, p)?;
+            let (out, r) = backend.sort(&worst_input, p, &spec, &never)?;
             assert!(out.windows(2).all(|w| w[0] <= w[1]));
             println!(
                 "{label:>14}: beta2 {:.2}, conflicts/elem {:.3}, tile {} B",

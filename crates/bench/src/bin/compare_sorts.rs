@@ -13,10 +13,10 @@ use std::process::ExitCode;
 
 use wcms_bench::experiment::model_time;
 use wcms_bench::panel::adhoc_binary_main;
-use wcms_error::WcmsError;
+use wcms_error::{CancelToken, WcmsError};
 use wcms_gpu_sim::DeviceSpec;
 use wcms_mergesort::bitonic::bitonic_sort_with_report;
-use wcms_mergesort::{SortParams, SortReport};
+use wcms_mergesort::{SortParams, SortReport, SortSpec};
 use wcms_workloads::random::random_permutation;
 
 fn main() -> ExitCode {
@@ -29,6 +29,8 @@ fn main() -> ExitCode {
         let doublings = if args.quick { 3..=6 } else { 3..=9 };
         let worst_input = |n: usize| -> Vec<u32> { (0..n as u32).collect() };
         let (backend, algorithm) = (args.backend, args.algorithm);
+        let spec = SortSpec { algorithm, ..SortSpec::default() };
+        let never = CancelToken::never();
 
         println!(
             "device = {}, {algorithm} E=16/b=128 (backend = {backend}) vs bitonic (same tile)",
@@ -50,8 +52,8 @@ fn main() -> ExitCode {
                 Ok(model_time(&device, &params, report)? * 1e3)
             };
 
-            let (_, pr) = backend.sort_algo_with_report(algorithm, &random, &params)?;
-            let (_, pw) = backend.sort_algo_with_report(algorithm, &worst, &params)?;
+            let (_, pr) = backend.sort(&random, &params, &spec, &never)?;
+            let (_, pw) = backend.sort(&worst, &params, &spec, &never)?;
             let (_, br) = bitonic_sort_with_report(&random, &params)?;
             let (_, bw) = bitonic_sort_with_report(&worst, &params)?;
             assert_eq!(

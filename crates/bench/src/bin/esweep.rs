@@ -11,10 +11,11 @@
 
 use std::process::ExitCode;
 
-use wcms_bench::experiment::measure_algo_on;
+use wcms_bench::experiment::measure;
 use wcms_bench::panel::adhoc_binary_main;
+use wcms_error::CancelToken;
 use wcms_gpu_sim::DeviceSpec;
-use wcms_mergesort::SortParams;
+use wcms_mergesort::{SortParams, SortSpec};
 use wcms_workloads::WorkloadSpec;
 
 fn main() -> ExitCode {
@@ -27,6 +28,8 @@ fn main() -> ExitCode {
         let doublings = if args.quick { 4 } else { 6 };
         let b = 128usize;
         let (backend, algorithm) = (args.backend, args.algorithm);
+        let sort = SortSpec { algorithm, ..SortSpec::default() };
+        let never = CancelToken::never();
 
         println!(
             "device = {}, b = {b}, N = bE·2^{doublings}, backend = {backend}, algorithm = {algorithm}",
@@ -42,16 +45,9 @@ fn main() -> ExitCode {
             let params = SortParams::new(32, e, b)?;
             let n = params.block_elems() << doublings;
             let spec = WorkloadSpec::RandomPermutation { seed: 3 };
-            let random = measure_algo_on(&device, &params, spec, n, 2, algorithm, backend)?;
-            let worst = measure_algo_on(
-                &device,
-                &params,
-                WorkloadSpec::WorstCase,
-                n,
-                1,
-                algorithm,
-                backend,
-            )?;
+            let random = measure(&device, &params, spec, n, 2, backend, &sort, &never)?;
+            let worst =
+                measure(&device, &params, WorkloadSpec::WorstCase, n, 1, backend, &sort, &never)?;
             Ok(format!(
                 "{e:>4} {n:>10} {:>14.1} {:>14.1} {:>9.1}% {:>12.2}",
                 random.throughput / 1e6,

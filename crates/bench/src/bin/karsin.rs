@@ -24,12 +24,12 @@ use std::process::ExitCode;
 
 use wcms_bench::checkpoint::CellResult;
 use wcms_bench::cliargs::figure_args_from_env;
-use wcms_bench::experiment::{measure_algo_traced, Measurement};
+use wcms_bench::experiment::{measure, Measurement};
 use wcms_bench::figures::RANDOM_SEED;
 use wcms_bench::supervisor::run_sweep;
 use wcms_error::WcmsError;
 use wcms_gpu_sim::DeviceSpec;
-use wcms_mergesort::{AlgorithmKind, SortParams};
+use wcms_mergesort::{AlgorithmKind, SortParams, SortSpec};
 use wcms_workloads::WorkloadSpec;
 
 type Cell = (String, &'static str, SortParams, WorkloadSpec, AlgorithmKind, usize);
@@ -78,7 +78,8 @@ fn run() -> Result<(), WcmsError> {
         &args.opts,
         |(family, wl, _, _, algorithm, n)| format!("karsin/{family}/{wl}/{algorithm}/{n}"),
         move |(_, _, params, spec, algorithm, n), backend, token| {
-            measure_algo_traced(&dev, &params, spec, n, runs, algorithm, backend, token, &obs)
+            let sort = SortSpec { algorithm, obs: &obs };
+            measure(&dev, &params, spec, n, runs, backend, &sort, token)
         },
     );
 

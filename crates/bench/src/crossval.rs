@@ -19,8 +19,8 @@
 
 use wcms_error::WcmsError;
 use wcms_mergesort::{
-    sort_algo_with_report_traced_on, AlgorithmKind, AnalyticBackend, ReferenceBackend, SimBackend,
-    SortParams, SortReport,
+    sort_on, AlgorithmKind, AnalyticBackend, ReferenceBackend, SimBackend, SortParams, SortReport,
+    SortSpec,
 };
 use wcms_obs::Obs;
 use wcms_workloads::WorkloadSpec;
@@ -171,20 +171,17 @@ pub fn cross_validate_traced(jobs: &[CrossJob], obs: &Obs) -> Result<CrossReport
     let mut report = CrossReport::default();
     for job in jobs {
         let input = job.spec.generate(job.n, job.params.w, job.params.e, job.params.b)?;
-        let algo = job.algorithm.instance();
+        let spec = SortSpec { algorithm: job.algorithm, obs };
 
         let t0 = obs.clock.now_us();
-        let (sim_out, sim_rep) =
-            sort_algo_with_report_traced_on(&input, &job.params, algo, &SimBackend, obs)?;
+        let (sim_out, sim_rep) = sort_on(&input, &job.params, &SimBackend, &spec)?;
         report.sim_s += obs.clock.elapsed_s(t0);
 
         let t0 = obs.clock.now_us();
-        let (ana_out, ana_rep) =
-            sort_algo_with_report_traced_on(&input, &job.params, algo, &AnalyticBackend, obs)?;
+        let (ana_out, ana_rep) = sort_on(&input, &job.params, &AnalyticBackend, &spec)?;
         report.analytic_s += obs.clock.elapsed_s(t0);
 
-        let (ref_out, _) =
-            sort_algo_with_report_traced_on(&input, &job.params, algo, &ReferenceBackend, obs)?;
+        let (ref_out, _) = sort_on(&input, &job.params, &ReferenceBackend, &spec)?;
 
         let mismatch = if sim_out != ana_out {
             Some("sorted outputs differ".into())

@@ -10,8 +10,8 @@ use serde::{Deserialize, Serialize};
 use wcms_dmm::stats::Summary;
 use wcms_error::{CancelToken, WcmsError};
 use wcms_gpu_sim::{CostModel, DeviceSpec, Occupancy};
-use wcms_mergesort::{AlgorithmKind, BackendKind, SortParams, SortReport};
-use wcms_obs::Obs;
+use wcms_mergesort::verify::is_sorted;
+use wcms_mergesort::{BackendKind, SortParams, SortReport, SortSpec};
 use wcms_workloads::WorkloadSpec;
 
 /// One measured point of a sweep.
@@ -102,32 +102,13 @@ pub fn model_time(
     Ok(t.total_s)
 }
 
-/// Measure one point on the default (cycle-accurate) backend.
+/// [`measure`] with [`SortSpec::default`] and no cancellation. Kept
+/// with this exact signature because the benchmark in `perfbench/`
+/// calls it.
 ///
 /// # Errors
 ///
-/// Same conditions as [`measure_on`].
-pub fn measure(
-    device: &DeviceSpec,
-    params: &SortParams,
-    spec: WorkloadSpec,
-    n: usize,
-    runs: u64,
-) -> Result<Measurement, WcmsError> {
-    measure_on(device, params, spec, n, runs, BackendKind::Sim)
-}
-
-/// Measure one point on `backend`, averaging seeded workloads over
-/// `runs` runs. The sim and analytic backends yield identical
-/// measurements (their counters agree integer for integer); the
-/// reference backend models no GPU work and reports zero time and
-/// throughput — it exists for output validation, not measurement.
-///
-/// # Errors
-///
-/// Propagates generator errors (bad `(w, E, b, n)`), kernel-detected
-/// corruption from the simulated sort, and occupancy misfits from the
-/// cost model.
+/// Same conditions as [`measure`].
 pub fn measure_on(
     device: &DeviceSpec,
     params: &SortParams,
@@ -136,102 +117,42 @@ pub fn measure_on(
     runs: u64,
     backend: BackendKind,
 ) -> Result<Measurement, WcmsError> {
-    measure_cancellable(device, params, spec, n, runs, backend, &CancelToken::never())
+    measure(device, params, spec, n, runs, backend, &SortSpec::default(), &CancelToken::never())
 }
 
-/// [`measure_on`] for an explicit algorithm — the ad-hoc binaries'
-/// entry point for `--algorithm` sweeps.
+/// Measure one point — the fully general cell `(device, params,
+/// workload, N, backend)` sorted as `sort` says — averaging seeded
+/// workloads over `runs` runs.
+///
+/// The sim and analytic backends yield identical measurements (their
+/// counters agree integer for integer); the reference backend models no
+/// GPU work and reports zero time and throughput — it exists for output
+/// validation, not measurement. Multiway runs fewer, wider global rounds
+/// than pairwise and reports its own conflict profile.
+///
+/// `token` is threaded into the backend's per-unit checks (and polled
+/// between runs), so a supervisor deadline stops the measurement at the
+/// next work-unit boundary instead of after the whole cell. Under an
+/// active `sort.obs` every sort's spans and per-round counter events
+/// land in the trace and its counters in the metrics registry; the
+/// measurement itself is byte-identical to the unobserved one.
 ///
 /// # Errors
 ///
-/// Same conditions as [`measure_on`].
-pub fn measure_algo_on(
-    device: &DeviceSpec,
-    params: &SortParams,
-    spec: WorkloadSpec,
-    n: usize,
-    runs: u64,
-    algorithm: AlgorithmKind,
-    backend: BackendKind,
-) -> Result<Measurement, WcmsError> {
-    measure_algo_traced(
-        device,
-        params,
-        spec,
-        n,
-        runs,
-        algorithm,
-        backend,
-        &CancelToken::never(),
-        Obs::noop(),
-    )
-}
-
-/// [`measure_on`] under a [`CancelToken`]: the token is threaded into
-/// the backend's per-unit checks (and polled between runs), so a
-/// supervisor deadline stops the measurement at the next work-unit
-/// boundary instead of after the whole cell.
-///
-/// # Errors
-///
-/// Same conditions as [`measure_on`], plus [`WcmsError::Cancelled`]
-/// when the token fires mid-measurement.
-#[allow(clippy::too_many_arguments)] // the cell tuple plus its token
-pub fn measure_cancellable(
+/// Propagates generator errors (bad `(w, E, b, n)`), kernel-detected
+/// corruption from the simulated sort, and occupancy misfits from the
+/// cost model; [`WcmsError::CorruptOutput`] if a backend returns an
+/// unsorted output, and [`WcmsError::Cancelled`] when `token` fires.
+#[allow(clippy::too_many_arguments)] // the cell tuple plus sort spec and token
+pub fn measure(
     device: &DeviceSpec,
     params: &SortParams,
     spec: WorkloadSpec,
     n: usize,
     runs: u64,
     backend: BackendKind,
+    sort: &SortSpec<'_>,
     token: &CancelToken,
-) -> Result<Measurement, WcmsError> {
-    measure_traced(device, params, spec, n, runs, backend, token, Obs::noop())
-}
-
-/// [`measure_cancellable`] under an [`Obs`] bundle: every sort's spans
-/// and per-round counter events land in the trace, and its merge-step /
-/// conflict counters in the metrics registry. The measurement itself is
-/// byte-identical to the untraced path (observation is read-only).
-///
-/// # Errors
-///
-/// Same conditions as [`measure_cancellable`].
-#[allow(clippy::too_many_arguments)] // the cell tuple plus token and obs
-pub fn measure_traced(
-    device: &DeviceSpec,
-    params: &SortParams,
-    spec: WorkloadSpec,
-    n: usize,
-    runs: u64,
-    backend: BackendKind,
-    token: &CancelToken,
-    obs: &Obs,
-) -> Result<Measurement, WcmsError> {
-    measure_algo_traced(device, params, spec, n, runs, AlgorithmKind::Pairwise, backend, token, obs)
-}
-
-/// Measure one point of `algorithm` on `backend` — the fully general
-/// cell: `(device, params, workload, N, algorithm, backend)`. The
-/// pairwise algorithm reproduces [`measure_traced`] bit for bit (the
-/// generic driver dispatches it through the legacy pairwise work
-/// units); multiway runs fewer, wider global rounds and reports its own
-/// conflict profile.
-///
-/// # Errors
-///
-/// Same conditions as [`measure_traced`].
-#[allow(clippy::too_many_arguments)] // the cell tuple plus token and obs
-pub fn measure_algo_traced(
-    device: &DeviceSpec,
-    params: &SortParams,
-    spec: WorkloadSpec,
-    n: usize,
-    runs: u64,
-    algorithm: AlgorithmKind,
-    backend: BackendKind,
-    token: &CancelToken,
-    obs: &Obs,
 ) -> Result<Measurement, WcmsError> {
     let runs = runs.max(1);
     let mut times = Vec::with_capacity(runs as usize);
@@ -241,9 +162,14 @@ pub fn measure_algo_traced(
     for run in 0..runs {
         token.check()?;
         let input = spec.with_run_seed(run).generate(n, params.w, params.e, params.b)?;
-        let (out, report) = backend
-            .sort_algo_with_report_cancellable_traced(algorithm, &input, params, token, obs)?;
-        debug_assert!(out.windows(2).all(|w| w[0] <= w[1]));
+        let (out, report) = backend.sort(&input, params, sort, token)?;
+        if !is_sorted(&out) {
+            return Err(WcmsError::CorruptOutput {
+                round: report.rounds.len(),
+                block: 0,
+                reason: format!("the {backend} backend returned an unsorted output of {n} keys"),
+            });
+        }
         // The reference backend does no GPU work at all, so the cost
         // model does not apply — not even its per-launch overhead floor.
         times.push(if backend == BackendKind::Reference {
@@ -289,15 +215,32 @@ pub fn measure_algo_traced(
 mod tests {
     use super::*;
 
+    use wcms_mergesort::AlgorithmKind;
+
     fn tiny() -> (DeviceSpec, SortParams) {
         (DeviceSpec::test_device(), SortParams::new(32, 7, 64).unwrap())
+    }
+
+    fn measure_algo(
+        d: &DeviceSpec,
+        p: &SortParams,
+        spec: WorkloadSpec,
+        n: usize,
+        runs: u64,
+        algorithm: AlgorithmKind,
+        backend: BackendKind,
+    ) -> Result<Measurement, WcmsError> {
+        let sort = SortSpec { algorithm, ..SortSpec::default() };
+        measure(d, p, spec, n, runs, backend, &sort, &CancelToken::never())
     }
 
     #[test]
     fn measure_random_point() {
         let (d, p) = tiny();
         let n = p.block_elems() * 4;
-        let m = measure(&d, &p, WorkloadSpec::RandomPermutation { seed: 1 }, n, 2).unwrap();
+        let m =
+            measure_on(&d, &p, WorkloadSpec::RandomPermutation { seed: 1 }, n, 2, BackendKind::Sim)
+                .unwrap();
         assert_eq!(m.n, n);
         assert!(m.throughput > 0.0);
         assert!(m.ms > 0.0);
@@ -309,8 +252,10 @@ mod tests {
     fn worst_case_slower_than_random() {
         let (d, p) = tiny();
         let n = p.block_elems() * 8;
-        let worst = measure(&d, &p, WorkloadSpec::WorstCase, n, 1).unwrap();
-        let random = measure(&d, &p, WorkloadSpec::RandomPermutation { seed: 3 }, n, 2).unwrap();
+        let worst = measure_on(&d, &p, WorkloadSpec::WorstCase, n, 1, BackendKind::Sim).unwrap();
+        let random =
+            measure_on(&d, &p, WorkloadSpec::RandomPermutation { seed: 3 }, n, 2, BackendKind::Sim)
+                .unwrap();
         assert!(
             worst.throughput < random.throughput,
             "worst {} !< random {}",
@@ -324,7 +269,7 @@ mod tests {
     fn deterministic_specs_run_once() {
         let (d, p) = tiny();
         let n = p.block_elems() * 2;
-        let m = measure(&d, &p, WorkloadSpec::Sorted, n, 5).unwrap();
+        let m = measure_on(&d, &p, WorkloadSpec::Sorted, n, 5, BackendKind::Sim).unwrap();
         assert_eq!(m.throughput_spread.n, 1);
     }
 
@@ -354,7 +299,8 @@ mod tests {
         let spec = WorkloadSpec::RandomPermutation { seed: 5 };
         let plain = measure_on(&d, &p, spec, n, 2, BackendKind::Sim).unwrap();
         let token = CancelToken::new("cell");
-        let gated = measure_cancellable(&d, &p, spec, n, 2, BackendKind::Sim, &token).unwrap();
+        let sort = SortSpec::default();
+        let gated = measure(&d, &p, spec, n, 2, BackendKind::Sim, &sort, &token).unwrap();
         assert_eq!(plain, gated, "an unfired token must not perturb the measurement");
     }
 
@@ -364,20 +310,21 @@ mod tests {
         let n = p.block_elems() * 2;
         let token = CancelToken::new("cell-x");
         token.cancel();
-        let err = measure_cancellable(&d, &p, WorkloadSpec::Sorted, n, 1, BackendKind::Sim, &token)
+        let sort = SortSpec::default();
+        let err = measure(&d, &p, WorkloadSpec::Sorted, n, 1, BackendKind::Sim, &sort, &token)
             .unwrap_err();
         assert!(matches!(err, WcmsError::Cancelled { ref cell } if cell == "cell-x"), "{err}");
     }
 
     #[test]
-    fn pairwise_algo_measurement_is_the_legacy_measurement() {
+    fn default_spec_measures_the_pairwise_sort() {
         let (d, p) = tiny();
         let n = p.block_elems() * 4;
         let spec = WorkloadSpec::RandomPermutation { seed: 9 };
-        let legacy = measure_on(&d, &p, spec, n, 2, BackendKind::Sim).unwrap();
+        let default = measure_on(&d, &p, spec, n, 2, BackendKind::Sim).unwrap();
         let algo =
-            measure_algo_on(&d, &p, spec, n, 2, AlgorithmKind::Pairwise, BackendKind::Sim).unwrap();
-        assert_eq!(legacy, algo, "pairwise through the generic driver must measure identically");
+            measure_algo(&d, &p, spec, n, 2, AlgorithmKind::Pairwise, BackendKind::Sim).unwrap();
+        assert_eq!(default, algo, "the default sort spec must be the pairwise sort");
     }
 
     #[test]
@@ -386,13 +333,13 @@ mod tests {
         let n = p.block_elems() * 8;
         let spec = WorkloadSpec::RandomPermutation { seed: 13 };
         let sim =
-            measure_algo_on(&d, &p, spec, n, 2, AlgorithmKind::Multiway, BackendKind::Sim).unwrap();
+            measure_algo(&d, &p, spec, n, 2, AlgorithmKind::Multiway, BackendKind::Sim).unwrap();
         let analytic =
-            measure_algo_on(&d, &p, spec, n, 2, AlgorithmKind::Multiway, BackendKind::Analytic)
+            measure_algo(&d, &p, spec, n, 2, AlgorithmKind::Multiway, BackendKind::Analytic)
                 .unwrap();
         assert_eq!(sim, analytic, "multiway counters must agree across backends");
         let pairwise =
-            measure_algo_on(&d, &p, spec, n, 2, AlgorithmKind::Pairwise, BackendKind::Sim).unwrap();
+            measure_algo(&d, &p, spec, n, 2, AlgorithmKind::Pairwise, BackendKind::Sim).unwrap();
         assert_ne!(
             sim, pairwise,
             "multiway runs fewer, wider rounds — its profile must differ from pairwise"

@@ -14,11 +14,11 @@
 use wcms_error::WcmsError;
 use wcms_gpu_sim::DeviceSpec;
 use wcms_mergesort::params::SortVariant;
-use wcms_mergesort::SortParams;
+use wcms_mergesort::{SortParams, SortSpec};
 use wcms_workloads::WorkloadSpec;
 
 use crate::checkpoint::CellResult;
-use crate::experiment::measure_algo_traced;
+use crate::experiment::measure;
 use crate::resilient::{QuarantinedCell, SkippedCell, SweepReport};
 use crate::series::Series;
 use crate::supervisor::{run_sweep, SweepOptions};
@@ -63,7 +63,8 @@ fn run_grid(
         opts,
         |(label, _, _, n)| format!("{figure}/{label}/{n}"),
         move |(_, params, spec, n), backend, token| {
-            measure_algo_traced(&dev, &params, spec, n, runs, algorithm, backend, token, &obs)
+            let sort = SortSpec { algorithm, obs: &obs };
+            measure(&dev, &params, spec, n, runs, backend, &sort, token)
         },
     );
 

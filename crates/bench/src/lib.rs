@@ -49,7 +49,7 @@ pub mod supervisor;
 
 pub use checkpoint::{CellResult, CheckpointStore, LoadOutcome, SweepFingerprint};
 pub use cliargs::{backend_from_args, figure_args_from_env, jobs_from_args, FigureArgs};
-pub use experiment::{measure, measure_cancellable, measure_on, Measurement, SweepConfig};
+pub use experiment::{measure, measure_on, Measurement, SweepConfig};
 pub use panel::{figure_binary_main, FigurePanel, PanelSection};
 pub use resilient::{
     run_cell, CellOutcome, QuarantinedCell, ResilienceConfig, SkippedCell, SweepReport, SweepStats,

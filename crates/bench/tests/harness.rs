@@ -1,7 +1,7 @@
 //! Integration tests of the figure harness at quick scale: layout,
 //! determinism and the orderings the paper's figures rely on.
 
-use wcms_bench::experiment::{measure, SweepConfig};
+use wcms_bench::experiment::{measure_on, SweepConfig};
 use wcms_bench::figures::{throughput_figure, Config};
 use wcms_bench::series::to_csv;
 use wcms_bench::summary::slowdown_table;
@@ -60,8 +60,8 @@ fn measurements_are_deterministic() {
     for spec in
         [WorkloadSpec::WorstCase, WorkloadSpec::RandomPermutation { seed: 9 }, WorkloadSpec::Sorted]
     {
-        let a = measure(&device, &params, spec, n, 2).unwrap();
-        let b = measure(&device, &params, spec, n, 2).unwrap();
+        let a = measure_on(&device, &params, spec, n, 2, BackendKind::Sim).unwrap();
+        let b = measure_on(&device, &params, spec, n, 2, BackendKind::Sim).unwrap();
         assert_eq!(a.throughput.to_bits(), b.throughput.to_bits(), "{}", spec.label());
         assert_eq!(a.beta2.to_bits(), b.beta2.to_bits(), "{}", spec.label());
     }
@@ -72,11 +72,28 @@ fn beta_ordering_matches_theory_at_figure_level() {
     let device = DeviceSpec::quadro_m4000();
     let params = SortParams::new(32, 15, 64).unwrap();
     let n = params.block_elems() * 4;
-    let sorted = measure(&device, &params, WorkloadSpec::Sorted, n, 1).unwrap();
-    let random =
-        measure(&device, &params, WorkloadSpec::RandomPermutation { seed: 1 }, n, 1).unwrap();
-    let heavy = measure(&device, &params, WorkloadSpec::ConflictHeavy { stride: 8 }, n, 1).unwrap();
-    let worst = measure(&device, &params, WorkloadSpec::WorstCase, n, 1).unwrap();
+    let sorted =
+        measure_on(&device, &params, WorkloadSpec::Sorted, n, 1, BackendKind::Sim).unwrap();
+    let random = measure_on(
+        &device,
+        &params,
+        WorkloadSpec::RandomPermutation { seed: 1 },
+        n,
+        1,
+        BackendKind::Sim,
+    )
+    .unwrap();
+    let heavy = measure_on(
+        &device,
+        &params,
+        WorkloadSpec::ConflictHeavy { stride: 8 },
+        n,
+        1,
+        BackendKind::Sim,
+    )
+    .unwrap();
+    let worst =
+        measure_on(&device, &params, WorkloadSpec::WorstCase, n, 1, BackendKind::Sim).unwrap();
     assert!(sorted.beta2 <= random.beta2);
     assert!(random.beta2 < heavy.beta2, "stride heuristic must beat random in beta2");
     assert!(heavy.beta2 < worst.beta2);

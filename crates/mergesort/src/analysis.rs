@@ -50,7 +50,8 @@ pub fn measured_global_shared_cycles(report: &SortReport) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::sort_with_report;
+    use crate::backend::SimBackend;
+    use crate::driver::{sort_on, SortSpec};
     use wcms_core::WorstCaseBuilder;
 
     /// The measured per-round shared work matches the A_s shape: linear
@@ -63,7 +64,8 @@ mod tests {
         let mut per_round_per_elem = Vec::new();
         for doublings in [2u32, 3, 4, 5] {
             let n = p.block_elems() << doublings;
-            let (_, report) = sort_with_report(&builder.build(n).unwrap(), &p).unwrap();
+            let input = builder.build(n).unwrap();
+            let (_, report) = sort_on(&input, &p, &SimBackend, &SortSpec::default()).unwrap();
             let cycles = measured_global_shared_cycles(&report);
             per_round_per_elem.push(cycles as f64 / (n as f64 * report.rounds.len() as f64));
         }

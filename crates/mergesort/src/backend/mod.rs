@@ -9,7 +9,7 @@
 //! drivers in [`crate::driver`] are generic over it:
 //!
 //! ```text
-//!                 sort_with_report_on / sort_resilient_on
+//!                      sort_on / sort_resilient_on
 //!                      (round loop, Rayon fan-out,
 //!                       retry/degrade policy)
 //!                                │
@@ -38,16 +38,9 @@ pub use sim::SimBackend;
 
 use wcms_error::cancel::CancelToken;
 use wcms_error::WcmsError;
-use wcms_gpu_sim::fault::FaultInjector;
 use wcms_gpu_sim::GpuKey;
 
-use wcms_obs::Obs;
-
-use crate::algorithm::AlgorithmKind;
-use crate::driver::{
-    sort_algo_with_report_traced_on, sort_resilient_algo_traced_on, sort_resilient_traced_on,
-    sort_with_report_traced_on, FaultReport, RecoveryPolicy,
-};
+use crate::driver::{sort_on, SortSpec};
 use crate::instrument::{RoundCounters, SortReport};
 use crate::params::SortParams;
 
@@ -279,261 +272,31 @@ impl BackendKind {
         }
     }
 
-    /// Run the full instrumented sort on this backend (value-level
-    /// dispatch over [`sort_with_report_on`]).
+    /// Run the full instrumented sort on this backend — value-level
+    /// dispatch over [`sort_on`] with the backend wrapped in
+    /// [`Cancellable`], so the sort stops at the next work-unit boundary
+    /// once `token` fires. An unfired token leaves the sort
+    /// bit-identical to [`sort_on`] on the bare backend.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`sort_with_report_on`].
-    pub fn sort_with_report<K: GpuKey>(
+    /// Same conditions as [`sort_on`], plus [`WcmsError::Cancelled`]
+    /// when `token` fires mid-sort.
+    pub fn sort<K: GpuKey>(
         self,
         input: &[K],
         params: &SortParams,
-    ) -> Result<(Vec<K>, SortReport), WcmsError> {
-        self.sort_with_report_traced(input, params, Obs::noop())
-    }
-
-    /// [`BackendKind::sort_with_report`] under an [`Obs`] bundle
-    /// (value-level dispatch over [`sort_with_report_traced_on`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`sort_with_report_on`](crate::driver::sort_with_report_on).
-    pub fn sort_with_report_traced<K: GpuKey>(
-        self,
-        input: &[K],
-        params: &SortParams,
-        obs: &Obs,
-    ) -> Result<(Vec<K>, SortReport), WcmsError> {
-        match self {
-            BackendKind::Sim => sort_with_report_traced_on(input, params, &SimBackend, obs),
-            BackendKind::Analytic => {
-                sort_with_report_traced_on(input, params, &AnalyticBackend, obs)
-            }
-            BackendKind::Reference => {
-                sort_with_report_traced_on(input, params, &ReferenceBackend, obs)
-            }
-        }
-    }
-
-    /// [`BackendKind::sort_with_report`] under a [`CancelToken`]: the
-    /// chosen backend is wrapped in [`Cancellable`], so the sort stops
-    /// at the next work-unit boundary once `token` fires.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`sort_with_report_on`](crate::driver::sort_with_report_on),
-    /// plus [`WcmsError::Cancelled`] when `token` fires mid-sort.
-    pub fn sort_with_report_cancellable<K: GpuKey>(
-        self,
-        input: &[K],
-        params: &SortParams,
+        spec: &SortSpec<'_>,
         token: &CancelToken,
-    ) -> Result<(Vec<K>, SortReport), WcmsError> {
-        self.sort_with_report_cancellable_traced(input, params, token, Obs::noop())
-    }
-
-    /// [`BackendKind::sort_with_report_cancellable`] under an [`Obs`]
-    /// bundle — the variant the traced sweep supervisor calls, so
-    /// per-round events land in the journal while the cell stays
-    /// cancellable.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`BackendKind::sort_with_report_cancellable`].
-    pub fn sort_with_report_cancellable_traced<K: GpuKey>(
-        self,
-        input: &[K],
-        params: &SortParams,
-        token: &CancelToken,
-        obs: &Obs,
     ) -> Result<(Vec<K>, SortReport), WcmsError> {
         let token = token.clone();
         match self {
-            BackendKind::Sim => {
-                sort_with_report_traced_on(input, params, &Cancellable::new(SimBackend, token), obs)
-            }
-            BackendKind::Analytic => sort_with_report_traced_on(
-                input,
-                params,
-                &Cancellable::new(AnalyticBackend, token),
-                obs,
-            ),
-            BackendKind::Reference => sort_with_report_traced_on(
-                input,
-                params,
-                &Cancellable::new(ReferenceBackend, token),
-                obs,
-            ),
-        }
-    }
-
-    /// Run the full instrumented sort of `algo` on this backend —
-    /// value-level dispatch over the
-    /// `(SortAlgorithm, ExecBackend)`-generic
-    /// [`sort_algo_with_report_traced_on`]. With
-    /// [`AlgorithmKind::Pairwise`] this is bit-identical to
-    /// [`BackendKind::sort_with_report`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`sort_with_report_on`](crate::driver::sort_with_report_on).
-    pub fn sort_algo_with_report<K: GpuKey>(
-        self,
-        algo: AlgorithmKind,
-        input: &[K],
-        params: &SortParams,
-    ) -> Result<(Vec<K>, SortReport), WcmsError> {
-        self.sort_algo_with_report_traced(algo, input, params, Obs::noop())
-    }
-
-    /// [`BackendKind::sort_algo_with_report`] under an [`Obs`] bundle.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`sort_with_report_on`](crate::driver::sort_with_report_on).
-    pub fn sort_algo_with_report_traced<K: GpuKey>(
-        self,
-        algo: AlgorithmKind,
-        input: &[K],
-        params: &SortParams,
-        obs: &Obs,
-    ) -> Result<(Vec<K>, SortReport), WcmsError> {
-        let a = algo.instance();
-        match self {
-            BackendKind::Sim => sort_algo_with_report_traced_on(input, params, a, &SimBackend, obs),
+            BackendKind::Sim => sort_on(input, params, &Cancellable::new(SimBackend, token), spec),
             BackendKind::Analytic => {
-                sort_algo_with_report_traced_on(input, params, a, &AnalyticBackend, obs)
+                sort_on(input, params, &Cancellable::new(AnalyticBackend, token), spec)
             }
             BackendKind::Reference => {
-                sort_algo_with_report_traced_on(input, params, a, &ReferenceBackend, obs)
-            }
-        }
-    }
-
-    /// [`BackendKind::sort_algo_with_report`] under a [`CancelToken`]
-    /// and an [`Obs`] bundle — the variant the traced sweep supervisor
-    /// calls.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`sort_with_report_on`](crate::driver::sort_with_report_on),
-    /// plus [`WcmsError::Cancelled`] when `token` fires mid-sort.
-    pub fn sort_algo_with_report_cancellable_traced<K: GpuKey>(
-        self,
-        algo: AlgorithmKind,
-        input: &[K],
-        params: &SortParams,
-        token: &CancelToken,
-        obs: &Obs,
-    ) -> Result<(Vec<K>, SortReport), WcmsError> {
-        let a = algo.instance();
-        let token = token.clone();
-        match self {
-            BackendKind::Sim => sort_algo_with_report_traced_on(
-                input,
-                params,
-                a,
-                &Cancellable::new(SimBackend, token),
-                obs,
-            ),
-            BackendKind::Analytic => sort_algo_with_report_traced_on(
-                input,
-                params,
-                a,
-                &Cancellable::new(AnalyticBackend, token),
-                obs,
-            ),
-            BackendKind::Reference => sort_algo_with_report_traced_on(
-                input,
-                params,
-                a,
-                &Cancellable::new(ReferenceBackend, token),
-                obs,
-            ),
-        }
-    }
-
-    /// Run the fault-hardened sort of `algo` on this backend
-    /// (value-level dispatch over [`sort_resilient_algo_traced_on`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`sort_resilient_on`](crate::driver::sort_resilient_on).
-    pub fn sort_algo_resilient_traced<K: GpuKey>(
-        self,
-        algo: AlgorithmKind,
-        input: &[K],
-        params: &SortParams,
-        injector: &FaultInjector,
-        policy: &RecoveryPolicy,
-        obs: &Obs,
-    ) -> Result<(Vec<K>, SortReport, FaultReport), WcmsError> {
-        let a = algo.instance();
-        match self {
-            BackendKind::Sim => {
-                sort_resilient_algo_traced_on(input, params, a, injector, policy, &SimBackend, obs)
-            }
-            BackendKind::Analytic => sort_resilient_algo_traced_on(
-                input,
-                params,
-                a,
-                injector,
-                policy,
-                &AnalyticBackend,
-                obs,
-            ),
-            BackendKind::Reference => sort_resilient_algo_traced_on(
-                input,
-                params,
-                a,
-                injector,
-                policy,
-                &ReferenceBackend,
-                obs,
-            ),
-        }
-    }
-
-    /// Run the fault-hardened sort on this backend (value-level dispatch
-    /// over [`sort_resilient_on`](crate::driver::sort_resilient_on)).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`sort_resilient_on`](crate::driver::sort_resilient_on).
-    pub fn sort_resilient<K: GpuKey>(
-        self,
-        input: &[K],
-        params: &SortParams,
-        injector: &FaultInjector,
-        policy: &RecoveryPolicy,
-    ) -> Result<(Vec<K>, SortReport, FaultReport), WcmsError> {
-        self.sort_resilient_traced(input, params, injector, policy, Obs::noop())
-    }
-
-    /// [`BackendKind::sort_resilient`] under an [`Obs`] bundle
-    /// (value-level dispatch over [`sort_resilient_traced_on`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`sort_resilient_on`](crate::driver::sort_resilient_on).
-    pub fn sort_resilient_traced<K: GpuKey>(
-        self,
-        input: &[K],
-        params: &SortParams,
-        injector: &FaultInjector,
-        policy: &RecoveryPolicy,
-        obs: &Obs,
-    ) -> Result<(Vec<K>, SortReport, FaultReport), WcmsError> {
-        match self {
-            BackendKind::Sim => {
-                sort_resilient_traced_on(input, params, injector, policy, &SimBackend, obs)
-            }
-            BackendKind::Analytic => {
-                sort_resilient_traced_on(input, params, injector, policy, &AnalyticBackend, obs)
-            }
-            BackendKind::Reference => {
-                sort_resilient_traced_on(input, params, injector, policy, &ReferenceBackend, obs)
+                sort_on(input, params, &Cancellable::new(ReferenceBackend, token), spec)
             }
         }
     }
@@ -597,10 +360,14 @@ mod tests {
     fn live_token_leaves_the_sort_bit_identical() {
         let params = SortParams::new(8, 3, 16).unwrap();
         let input: Vec<u32> = (0..params.block_elems() as u32 * 4).rev().collect();
-        for kind in BackendKind::ALL {
-            let plain = kind.sort_with_report(&input, &params).unwrap();
-            let cancellable =
-                kind.sort_with_report_cancellable(&input, &params, &CancelToken::new("t")).unwrap();
+        let spec = SortSpec::default();
+        let bare = [
+            sort_on(&input, &params, &SimBackend, &spec).unwrap(),
+            sort_on(&input, &params, &AnalyticBackend, &spec).unwrap(),
+            sort_on(&input, &params, &ReferenceBackend, &spec).unwrap(),
+        ];
+        for (kind, plain) in BackendKind::ALL.into_iter().zip(bare) {
+            let cancellable = kind.sort(&input, &params, &spec, &CancelToken::new("t")).unwrap();
             assert_eq!(plain, cancellable, "{kind}: wrapper must be transparent");
         }
     }
@@ -611,8 +378,7 @@ mod tests {
         let input: Vec<u32> = (0..params.block_elems() as u32 * 4).rev().collect();
         let token = CancelToken::new("fig4/wc/192");
         token.cancel();
-        let err =
-            BackendKind::Sim.sort_with_report_cancellable(&input, &params, &token).unwrap_err();
+        let err = BackendKind::Sim.sort(&input, &params, &SortSpec::default(), &token).unwrap_err();
         assert!(matches!(err, WcmsError::Cancelled { ref cell } if cell == "fig4/wc/192"), "{err}");
     }
 }

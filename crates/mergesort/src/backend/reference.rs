@@ -5,7 +5,7 @@
 //! Work units execute on plain host code (`sort_unstable`, a sequential
 //! Merge Path emit) and report **no** GPU counters: a degraded unit
 //! contributes nothing to the [`crate::instrument::SortReport`], exactly
-//! the PR-1 contract of `sort_resilient`'s CPU fallback.
+//! the contract of [`crate::driver::sort_resilient_on`]'s CPU fallback.
 
 use wcms_error::WcmsError;
 use wcms_gpu_sim::GpuKey;

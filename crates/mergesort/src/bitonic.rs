@@ -237,7 +237,13 @@ mod tests {
         let input: Vec<u32> = (0..n as u32).rev().collect();
         let (_, bitonic) = bitonic_sort_with_report(&input, &p).unwrap();
         // Merge sort with comparable tile: E=4 gives bE=64 as well.
-        let (_, pairwise) = crate::driver::sort_with_report(&input, &p).unwrap();
+        let (_, pairwise) = crate::driver::sort_on(
+            &input,
+            &p,
+            &crate::backend::SimBackend,
+            &crate::driver::SortSpec::default(),
+        )
+        .unwrap();
         assert!(
             bitonic.total().shared.combined().accesses
                 > pairwise.total().shared.combined().accesses,

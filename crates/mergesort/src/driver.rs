@@ -15,7 +15,7 @@ use wcms_mergepath::diagonal::merge_path;
 use wcms_mergepath::multiway::multiway_select;
 use wcms_obs::{event, span, Obs};
 
-use crate::algorithm::{PairwiseMerge, SortAlgorithm};
+use crate::algorithm::{AlgorithmKind, SortAlgorithm};
 use crate::backend::{ExecBackend, ReferenceBackend, SimBackend};
 use crate::instrument::{RoundCounters, SortReport};
 use crate::params::{SortParams, SortVariant};
@@ -49,16 +49,47 @@ fn split_runs<'a, K>(data: &'a [K], lens: &[usize]) -> Vec<&'a [K]> {
     out
 }
 
-/// Sort `input` on the simulated GPU and return the sorted output with
-/// the full instrumentation report.
+/// What one sort runs and where it reports: the merge algorithm of the
+/// global rounds and the [`Obs`] bundle that receives its spans, events
+/// and metric counters. The default is the paper's pairwise sort,
+/// unobserved — every probe is then a single untaken branch.
+#[derive(Debug, Clone, Copy)]
+pub struct SortSpec<'a> {
+    /// How many runs each global round merges per group.
+    pub algorithm: AlgorithmKind,
+    /// Where spans, events and counters go ([`Obs::noop`] for none).
+    pub obs: &'a Obs,
+}
+
+impl Default for SortSpec<'_> {
+    fn default() -> Self {
+        SortSpec { algorithm: AlgorithmKind::Pairwise, obs: Obs::noop() }
+    }
+}
+
+/// Sort `input` on `backend` and return the sorted output with the full
+/// instrumentation report.
+///
+/// The round loop and Rayon fan-out live here, the per-unit execution
+/// in `backend`. Every backend sees the identical decomposition into
+/// work units, so backends can only differ in how a unit executes — the
+/// property the analytic/sim cross-validation rests on. `spec.algorithm`
+/// picks each round's fan-in: 2-way groups run the pairwise work units,
+/// wider groups the k-way units.
+///
+/// Under an active `spec.obs`, a `sort` span wraps the whole pipeline,
+/// each global round runs inside a `merge-round` span, per-round
+/// `round-counters` events carry the merge-step and bank-conflict totals
+/// (round 0 is the base case), and the accepted totals feed the `sort_*`
+/// metric counters.
 ///
 /// ```
-/// use wcms_mergesort::{sort_with_report, SortParams};
+/// use wcms_mergesort::{sort_on, SimBackend, SortParams, SortSpec};
 ///
 /// let params = SortParams::new(8, 3, 16)?; // tiny tile for the example
 /// let n = params.block_elems() * 4;
 /// let input: Vec<u32> = (0..n as u32).rev().collect();
-/// let (sorted, report) = sort_with_report(&input, &params)?;
+/// let (sorted, report) = sort_on(&input, &params, &SimBackend, &SortSpec::default())?;
 /// assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
 /// assert_eq!(report.rounds.len(), 2); // log2(4) global merge rounds
 /// # Ok::<(), wcms_error::WcmsError>(())
@@ -68,98 +99,37 @@ fn split_runs<'a, K>(data: &'a [K], lens: &[usize]) -> Vec<&'a [K]> {
 ///
 /// Returns [`WcmsError::InvalidLength`] if `input.len()` is not `bE·2^m`
 /// (see [`SortParams::valid_len`]), and propagates any kernel-detected
-/// corruption (CREW violations, out-of-bounds tiles, bad co-ranks).
-pub fn sort_with_report<K: wcms_gpu_sim::GpuKey>(
+/// corruption (CREW violations, out-of-bounds tiles, bad co-ranks) or
+/// the backend's own errors (e.g. [`WcmsError::Cancelled`]).
+pub fn sort_on<K: wcms_gpu_sim::GpuKey>(
     input: &[K],
     params: &SortParams,
+    backend: &impl ExecBackend,
+    spec: &SortSpec<'_>,
 ) -> Result<(Vec<K>, SortReport), WcmsError> {
-    sort_with_report_on(input, params, &SimBackend)
+    run_sort(input, params, spec.algorithm.instance(), backend, spec.obs)
 }
 
-/// [`sort_with_report`] generic over the execution backend: the round
-/// loop and Rayon fan-out live here, the per-unit execution in
-/// `backend`. Every backend sees the identical decomposition into work
-/// units, so backends can only differ in how a unit executes — the
-/// property the analytic/sim cross-validation rests on.
+/// [`sort_on`] with [`SortSpec::default`]. Kept with this exact
+/// signature because the benchmark in `perfbench/` calls it.
 ///
 /// # Errors
 ///
-/// Same conditions as [`sort_with_report`].
+/// Same conditions as [`sort_on`].
 pub fn sort_with_report_on<K: wcms_gpu_sim::GpuKey>(
     input: &[K],
     params: &SortParams,
     backend: &impl ExecBackend,
 ) -> Result<(Vec<K>, SortReport), WcmsError> {
-    sort_with_report_traced_on(input, params, backend, Obs::noop())
+    sort_on(input, params, backend, &SortSpec::default())
 }
 
-/// [`sort_with_report_on`] generic over the algorithm as well (see
-/// [`sort_algo_with_report_traced_on`]).
-///
-/// # Errors
-///
-/// Same conditions as [`sort_with_report`].
-pub fn sort_algo_with_report_on<K: wcms_gpu_sim::GpuKey>(
+/// The pipeline behind [`sort_on`], for any [`SortAlgorithm`] — not
+/// just the [`AlgorithmKind`] instances.
+fn run_sort<K: wcms_gpu_sim::GpuKey>(
     input: &[K],
     params: &SortParams,
-    algo: &(impl SortAlgorithm + ?Sized),
-    backend: &impl ExecBackend,
-) -> Result<(Vec<K>, SortReport), WcmsError> {
-    sort_algo_with_report_traced_on(input, params, algo, backend, Obs::noop())
-}
-
-/// [`sort_resilient_on`] generic over the algorithm as well (see
-/// [`sort_resilient_algo_traced_on`]).
-///
-/// # Errors
-///
-/// Same conditions as [`sort_resilient`].
-pub fn sort_resilient_algo_on<K: wcms_gpu_sim::GpuKey>(
-    input: &[K],
-    params: &SortParams,
-    algo: &(impl SortAlgorithm + ?Sized),
-    injector: &FaultInjector,
-    policy: &RecoveryPolicy,
-    backend: &impl ExecBackend,
-) -> Result<(Vec<K>, SortReport, FaultReport), WcmsError> {
-    sort_resilient_algo_traced_on(input, params, algo, injector, policy, backend, Obs::noop())
-}
-
-/// [`sort_with_report_on`] under an [`Obs`] bundle: a `sort` span wraps
-/// the whole pipeline, each global round runs inside a `merge-round`
-/// span, per-round `round-counters` events carry the merge-step and
-/// bank-conflict totals (round 0 is the base case), and the accepted
-/// totals feed the `sort_*` metric counters. With [`Obs::noop`] every
-/// probe is a single untaken branch — the untraced entry points
-/// delegate here.
-///
-/// # Errors
-///
-/// Same conditions as [`sort_with_report`].
-pub fn sort_with_report_traced_on<K: wcms_gpu_sim::GpuKey>(
-    input: &[K],
-    params: &SortParams,
-    backend: &impl ExecBackend,
-    obs: &Obs,
-) -> Result<(Vec<K>, SortReport), WcmsError> {
-    sort_algo_with_report_traced_on(input, params, &PairwiseMerge, backend, obs)
-}
-
-/// [`sort_with_report_traced_on`] generic over the *algorithm* as well:
-/// the round loop asks `algo` for each round's fan-in, dispatches 2-way
-/// groups through the exact legacy pairwise work units (so
-/// [`PairwiseMerge`] is bit-identical — outputs, counters and trace
-/// events — to the pre-refactor pipeline) and wider groups through the
-/// k-way units. Every `(algorithm, backend)` combination sees the
-/// identical decomposition into work units.
-///
-/// # Errors
-///
-/// Same conditions as [`sort_with_report`].
-pub fn sort_algo_with_report_traced_on<K: wcms_gpu_sim::GpuKey>(
-    input: &[K],
-    params: &SortParams,
-    algo: &(impl SortAlgorithm + ?Sized),
+    algo: &dyn SortAlgorithm,
     backend: &impl ExecBackend,
     obs: &Obs,
 ) -> Result<(Vec<K>, SortReport), WcmsError> {
@@ -323,37 +293,26 @@ fn observe_report(obs: &Obs, report: &SortReport) {
     total.to_kernel().observe(&obs.metrics, "sort");
 }
 
-/// Sort without keeping the report (convenience for tests/examples).
+/// Sort an arbitrary-length input on the simulated GPU by padding with
+/// max-value sentinels up to the next valid length and truncating
+/// afterwards. The reported `n` is the padded length.
 ///
 /// # Errors
 ///
-/// Same conditions as [`sort_with_report`].
-pub fn sort<K: wcms_gpu_sim::GpuKey>(
-    input: &[K],
-    params: &SortParams,
-) -> Result<Vec<K>, WcmsError> {
-    Ok(sort_with_report(input, params)?.0)
-}
-
-/// Sort an arbitrary-length input by padding with max-value sentinels up
-/// to the next valid length and truncating afterwards. The reported `n`
-/// is the padded length.
-///
-/// # Errors
-///
-/// Propagates kernel-detected corruption from [`sort_with_report`]
-/// (the length itself is always made valid by padding).
+/// Propagates kernel-detected corruption from [`sort_on`] (the length
+/// itself is always made valid by padding).
 pub fn sort_padded<K: wcms_gpu_sim::GpuKey>(
     input: &[K],
     params: &SortParams,
 ) -> Result<(Vec<K>, SortReport), WcmsError> {
+    let spec = SortSpec::default();
     if params.valid_len(input.len()) {
-        return sort_with_report(input, params);
+        return sort_on(input, params, &SimBackend, &spec);
     }
     let target = params.next_valid_len(input.len());
     let mut padded = input.to_vec();
     padded.resize(target, K::max_value());
-    let (mut out, report) = sort_with_report(&padded, params)?;
+    let (mut out, report) = sort_on(&padded, params, &SimBackend, &spec)?;
     out.truncate(input.len());
     Ok((out, report))
 }
@@ -389,7 +348,7 @@ pub struct FaultReport {
 
 impl FaultReport {
     /// True if no fault fired and no recovery work happened — the
-    /// GPU-side counters then match a plain [`sort_with_report`] run
+    /// GPU-side counters then match a plain [`sort_on`] run
     /// bit-for-bit.
     #[must_use]
     pub fn clean(&self) -> bool {
@@ -402,13 +361,15 @@ impl FaultReport {
     }
 }
 
-/// [`sort_with_report`] hardened against transient faults: every kernel
-/// runs under a [`FaultInjector`] and every work unit's output is
-/// checked (sortedness + multiset fingerprint against its immutable
-/// input) before it is accepted.
+/// [`sort_on`] hardened against transient faults: every kernel runs
+/// under a [`FaultInjector`] and every work unit's output is checked
+/// (sortedness + multiset fingerprint against its immutable input)
+/// before it is accepted.
 ///
 /// Detection and recovery per work unit — a thread block in the base
-/// case, a merged pair in a global round:
+/// case, a merged group in a global round (the group of runs merged
+/// together is the smallest unit whose output multiset is known in
+/// advance — the pair, for the pairwise algorithm):
 ///
 /// 1. a typed kernel error (CREW violation, out-of-bounds tile, invalid
 ///    co-rank) or a failed [`check_round_output`] marks the attempt bad;
@@ -416,19 +377,25 @@ impl FaultReport {
 ///    [`RecoveryPolicy::max_retries`] times — transient faults (keyed by
 ///    attempt) clear, hard faults do not;
 /// 3. on exhaustion the unit degrades to the trusted CPU reference path
-///    (`sort_unstable` / [`merge_ref`]) and is recorded in the
-///    [`FaultReport`], or fails with [`WcmsError::FaultUnrecoverable`]
-///    if `cpu_fallback` is off.
+///    ([`ReferenceBackend`], whatever the primary `backend`) and is
+///    recorded in the [`FaultReport`], or fails with
+///    [`WcmsError::FaultUnrecoverable`] if `cpu_fallback` is off.
 ///
 /// The [`SortReport`] counts only the *accepted* GPU work (a degraded
 /// unit contributes no GPU counters); wasted attempts show up in the
 /// [`FaultReport`] instead. With [`FaultInjector::disabled`] the output
-/// and report are bit-identical to [`sort_with_report`] and the fault
-/// report is [`FaultReport::clean`].
+/// and report are bit-identical to [`sort_on`] and the fault report is
+/// [`FaultReport::clean`].
+///
+/// Under an active `spec.obs` the pipeline runs in a `sort-resilient`
+/// span, every injected fault becomes a `fault-injected` event carrying
+/// the injector seed and the fault's exact coordinates (round, unit,
+/// attempt) — enough to replay it — and the fault totals feed the
+/// `fault_*` metric counters.
 ///
 /// ```
 /// use wcms_gpu_sim::fault::{FaultConfig, FaultInjector};
-/// use wcms_mergesort::{sort_resilient, RecoveryPolicy, SortParams};
+/// use wcms_mergesort::{sort_resilient_on, RecoveryPolicy, SimBackend, SortParams, SortSpec};
 ///
 /// let params = SortParams::new(8, 3, 16)?;
 /// let input: Vec<u32> = (0..params.block_elems() as u32 * 8).rev().collect();
@@ -437,8 +404,9 @@ impl FaultReport {
 ///     tile_bitflip_rate: 0.5,
 ///     ..FaultConfig::default()
 /// });
+/// let spec = SortSpec::default();
 /// let (out, _report, faults) =
-///     sort_resilient(&input, &params, &inj, &RecoveryPolicy::default())?;
+///     sort_resilient_on(&input, &params, &SimBackend, &spec, &inj, &RecoveryPolicy::default())?;
 /// assert!(out.windows(2).all(|w| w[0] <= w[1]));
 /// assert!(faults.counters.detected >= 1); // faults fired and were caught
 /// # Ok::<(), wcms_error::WcmsError>(())
@@ -450,72 +418,15 @@ impl FaultReport {
 /// [`WcmsError::FaultUnrecoverable`] when a unit exhausts its retries
 /// with CPU fallback disabled. With `cpu_fallback` on, injected faults
 /// never surface as errors — only as entries in the [`FaultReport`].
-pub fn sort_resilient<K: wcms_gpu_sim::GpuKey>(
-    input: &[K],
-    params: &SortParams,
-    injector: &FaultInjector,
-    policy: &RecoveryPolicy,
-) -> Result<(Vec<K>, SortReport, FaultReport), WcmsError> {
-    sort_resilient_on(input, params, injector, policy, &SimBackend)
-}
-
-/// [`sort_resilient`] generic over the execution backend: the
-/// retry/degrade policy is a pure wrapper around *any* [`ExecBackend`] —
-/// injection corrupts a unit's inputs, the unit runs on `backend`, and
-/// the degrade ladder always bottoms out on the trusted
-/// [`ReferenceBackend`] regardless of the primary backend.
-///
-/// # Errors
-///
-/// Same conditions as [`sort_resilient`].
 pub fn sort_resilient_on<K: wcms_gpu_sim::GpuKey>(
     input: &[K],
     params: &SortParams,
+    backend: &impl ExecBackend,
+    spec: &SortSpec<'_>,
     injector: &FaultInjector,
     policy: &RecoveryPolicy,
-    backend: &impl ExecBackend,
 ) -> Result<(Vec<K>, SortReport, FaultReport), WcmsError> {
-    sort_resilient_traced_on(input, params, injector, policy, backend, Obs::noop())
-}
-
-/// [`sort_resilient_on`] under an [`Obs`] bundle: the pipeline runs in
-/// a `sort-resilient` span, every injected fault becomes a
-/// `fault-injected` event carrying the injector seed and the fault's
-/// exact coordinates (round, unit, attempt) — enough to replay it —
-/// and the fault totals feed the `fault_*` metric counters.
-///
-/// # Errors
-///
-/// Same conditions as [`sort_resilient`].
-pub fn sort_resilient_traced_on<K: wcms_gpu_sim::GpuKey>(
-    input: &[K],
-    params: &SortParams,
-    injector: &FaultInjector,
-    policy: &RecoveryPolicy,
-    backend: &impl ExecBackend,
-    obs: &Obs,
-) -> Result<(Vec<K>, SortReport, FaultReport), WcmsError> {
-    sort_resilient_algo_traced_on(input, params, &PairwiseMerge, injector, policy, backend, obs)
-}
-
-/// [`sort_resilient_traced_on`] generic over the algorithm: retry is
-/// *group*-granular (the group of runs merged together is the smallest
-/// unit whose output multiset is known in advance — the pair, for
-/// [`PairwiseMerge`]), and the degrade ladder bottoms out on the CPU
-/// k-way reference merge.
-///
-/// # Errors
-///
-/// Same conditions as [`sort_resilient`].
-pub fn sort_resilient_algo_traced_on<K: wcms_gpu_sim::GpuKey>(
-    input: &[K],
-    params: &SortParams,
-    algo: &(impl SortAlgorithm + ?Sized),
-    injector: &FaultInjector,
-    policy: &RecoveryPolicy,
-    backend: &impl ExecBackend,
-    obs: &Obs,
-) -> Result<(Vec<K>, SortReport, FaultReport), WcmsError> {
+    let (algo, obs) = (spec.algorithm.instance(), spec.obs);
     let n = input.len();
     if !params.valid_len(n) {
         return Err(WcmsError::InvalidLength { n, block_elems: params.block_elems() });
@@ -929,10 +840,27 @@ mod tests {
         SortParams::new(8, 3, 16).unwrap() // bE = 48
     }
 
+    fn sim_sort(input: &[u32], p: &SortParams) -> Result<(Vec<u32>, SortReport), WcmsError> {
+        sort_on(input, p, &SimBackend, &SortSpec::default())
+    }
+
+    fn sim_resilient(
+        input: &[u32],
+        p: &SortParams,
+        injector: &FaultInjector,
+        policy: &RecoveryPolicy,
+    ) -> Result<(Vec<u32>, SortReport, FaultReport), WcmsError> {
+        sort_resilient_on(input, p, &SimBackend, &SortSpec::default(), injector, policy)
+    }
+
+    fn multiway() -> SortSpec<'static> {
+        SortSpec { algorithm: AlgorithmKind::Multiway, ..SortSpec::default() }
+    }
+
     fn check_sorts(input: &[u32], p: &SortParams) {
         let mut want = input.to_vec();
         want.sort_unstable();
-        let (out, report) = sort_with_report(input, p).unwrap();
+        let (out, report) = sim_sort(input, p).unwrap();
         assert_eq!(out, want);
         assert_eq!(report.n, input.len());
         assert_eq!(report.total().shared.combined().crew_violations, 0);
@@ -952,7 +880,7 @@ mod tests {
         let input: Vec<u32> =
             (0..n as u32).map(|i| i.wrapping_mul(2_654_435_761) % 10_007).collect();
         check_sorts(&input, &p);
-        let (_, report) = sort_with_report(&input, &p).unwrap();
+        let (_, report) = sim_sort(&input, &p).unwrap();
         assert_eq!(report.rounds.len(), 3);
         assert_eq!(report.base.blocks, 8);
         assert!(report.rounds.iter().all(|r| r.blocks == 8));
@@ -972,17 +900,18 @@ mod tests {
         }
     }
 
-    use crate::algorithm::MultiwayMerge;
+    use crate::algorithm::{MultiwayMerge, PairwiseMerge};
     use crate::backend::{AnalyticBackend, BackendKind};
+    use wcms_error::CancelToken;
 
     #[test]
-    fn pairwise_algo_is_bit_identical_to_legacy_entry_points() {
+    fn default_spec_runs_the_pairwise_merge() {
         for p in [params(), params().with_variant(SortVariant::ModernGpu)] {
             let n = p.block_elems() * 8;
             let input: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(2_654_435_761)).collect();
-            let legacy = sort_with_report(&input, &p).unwrap();
-            let algo = sort_algo_with_report_on(&input, &p, &PairwiseMerge, &SimBackend).unwrap();
-            assert_eq!(legacy, algo, "PairwiseMerge must preserve semantics exactly");
+            let default = sim_sort(&input, &p).unwrap();
+            let algo = run_sort(&input, &p, &PairwiseMerge, &SimBackend, Obs::noop()).unwrap();
+            assert_eq!(default, algo, "the default spec must be the paper's pairwise sort");
         }
     }
 
@@ -993,11 +922,10 @@ mod tests {
         let input: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(48_271) % 9973).collect();
         let mut want = input.clone();
         want.sort_unstable();
-        let algo = MultiwayMerge::default();
-        let (out, report) = sort_algo_with_report_on(&input, &p, &algo, &SimBackend).unwrap();
+        let (out, report) = sort_on(&input, &p, &SimBackend, &multiway()).unwrap();
         assert_eq!(out, want);
         assert_eq!(report.rounds.len(), 2);
-        let (_, pair_report) = sort_with_report(&input, &p).unwrap();
+        let (_, pair_report) = sim_sort(&input, &p).unwrap();
         assert_eq!(pair_report.rounds.len(), 4);
     }
 
@@ -1007,13 +935,9 @@ mod tests {
         {
             let n = p.block_elems() * 8;
             let input: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(31) % 4096).collect();
-            let algo = MultiwayMerge::default();
-            let (sim_out, sim_rep) =
-                sort_algo_with_report_on(&input, &p, &algo, &SimBackend).unwrap();
-            let (ana_out, ana_rep) =
-                sort_algo_with_report_on(&input, &p, &algo, &AnalyticBackend).unwrap();
-            let (ref_out, ref_rep) =
-                sort_algo_with_report_on(&input, &p, &algo, &ReferenceBackend).unwrap();
+            let (sim_out, sim_rep) = sort_on(&input, &p, &SimBackend, &multiway()).unwrap();
+            let (ana_out, ana_rep) = sort_on(&input, &p, &AnalyticBackend, &multiway()).unwrap();
+            let (ref_out, ref_rep) = sort_on(&input, &p, &ReferenceBackend, &multiway()).unwrap();
             assert_eq!(ana_out, sim_out);
             assert_eq!(ref_out, sim_out);
             assert_eq!(ana_rep, sim_rep, "analytic counters must be integer-identical");
@@ -1031,7 +955,7 @@ mod tests {
         let mut want = input.clone();
         want.sort_unstable();
         let algo = MultiwayMerge { k: 3 };
-        let (out, report) = sort_algo_with_report_on(&input, &p, &algo, &SimBackend).unwrap();
+        let (out, report) = run_sort(&input, &p, &algo, &SimBackend, Obs::noop()).unwrap();
         assert_eq!(out, want);
         assert_eq!(report.rounds.len(), 2);
     }
@@ -1041,16 +965,14 @@ mod tests {
         let p = params();
         let n = p.block_elems() * 16;
         let input: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(7) % 512).collect();
-        let algo = MultiwayMerge::default();
-        let (plain_out, plain_rep) =
-            sort_algo_with_report_on(&input, &p, &algo, &SimBackend).unwrap();
-        let (out, rep, faults) = sort_resilient_algo_on(
+        let (plain_out, plain_rep) = sort_on(&input, &p, &SimBackend, &multiway()).unwrap();
+        let (out, rep, faults) = sort_resilient_on(
             &input,
             &p,
-            &algo,
+            &SimBackend,
+            &multiway(),
             &FaultInjector::disabled(),
             &RecoveryPolicy::default(),
-            &SimBackend,
         )
         .unwrap();
         assert_eq!(out, plain_out);
@@ -1065,16 +987,15 @@ mod tests {
         let input: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(48_271) % 9973).collect();
         let mut want = input.clone();
         want.sort_unstable();
-        let algo = MultiwayMerge::default();
         for (tile, corank) in [(0.3, 0.0), (0.0, 0.5), (1.0, 0.0)] {
             let inj = faulty(7, tile, corank);
-            let (out, _, faults) = sort_resilient_algo_on(
+            let (out, _, faults) = sort_resilient_on(
                 &input,
                 &p,
-                &algo,
+                &SimBackend,
+                &multiway(),
                 &inj,
                 &RecoveryPolicy { max_retries: 4, cpu_fallback: true },
-                &SimBackend,
             )
             .unwrap();
             assert_eq!(out, want, "tile={tile} corank={corank}");
@@ -1088,16 +1009,12 @@ mod tests {
         let p = params();
         let n = p.block_elems() * 8;
         let input: Vec<u32> = (0..n as u32).rev().collect();
-        let algo = MultiwayMerge::default();
-        let direct = sort_algo_with_report_on(&input, &p, &algo, &SimBackend).unwrap();
-        let kind = BackendKind::Sim
-            .sort_algo_with_report(crate::algorithm::AlgorithmKind::Multiway, &input, &p)
-            .unwrap();
+        let direct = sort_on(&input, &p, &SimBackend, &multiway()).unwrap();
+        let never = CancelToken::never();
+        let kind = BackendKind::Sim.sort(&input, &p, &multiway(), &never).unwrap();
         assert_eq!(direct, kind);
-        let pairwise = BackendKind::Sim
-            .sort_algo_with_report(crate::algorithm::AlgorithmKind::Pairwise, &input, &p)
-            .unwrap();
-        assert_eq!(pairwise, sort_with_report(&input, &p).unwrap());
+        let pairwise = BackendKind::Sim.sort(&input, &p, &SortSpec::default(), &never).unwrap();
+        assert_eq!(pairwise, sim_sort(&input, &p).unwrap());
     }
 
     #[test]
@@ -1105,8 +1022,8 @@ mod tests {
         let p = params();
         let n = p.block_elems() * 4;
         let input: Vec<u32> = (0..n as u32).map(|i| (i * 31) % 257).collect();
-        let (_, r1) = sort_with_report(&input, &p).unwrap();
-        let (_, r2) = sort_with_report(&input, &p).unwrap();
+        let (_, r1) = sim_sort(&input, &p).unwrap();
+        let (_, r2) = sim_sort(&input, &p).unwrap();
         assert_eq!(r1, r2, "Rayon reduction must be deterministic");
     }
 
@@ -1123,7 +1040,7 @@ mod tests {
 
     #[test]
     fn rejects_invalid_length() {
-        let err = sort_with_report(&[1u32, 2, 3], &params()).unwrap_err();
+        let err = sim_sort(&[1u32, 2, 3], &params()).unwrap_err();
         assert!(matches!(err, WcmsError::InvalidLength { n: 3, .. }), "{err}");
     }
 
@@ -1146,9 +1063,9 @@ mod tests {
         for p in [params(), params().with_variant(SortVariant::ModernGpu)] {
             let n = p.block_elems() * 8;
             let input: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(2_654_435_761)).collect();
-            let (plain_out, plain_rep) = sort_with_report(&input, &p).unwrap();
+            let (plain_out, plain_rep) = sim_sort(&input, &p).unwrap();
             let (out, rep, faults) =
-                sort_resilient(&input, &p, &FaultInjector::disabled(), &RecoveryPolicy::default())
+                sim_resilient(&input, &p, &FaultInjector::disabled(), &RecoveryPolicy::default())
                     .unwrap();
             assert_eq!(out, plain_out);
             assert_eq!(rep, plain_rep, "counters must match bit-for-bit");
@@ -1167,13 +1084,9 @@ mod tests {
         let mut want = input.clone();
         want.sort_unstable();
         let inj = faulty(7, 0.3, 0.3);
-        let (out, _, faults) = sort_resilient(
-            &input,
-            &p,
-            &inj,
-            &RecoveryPolicy { max_retries: 6, cpu_fallback: true },
-        )
-        .unwrap();
+        let (out, _, faults) =
+            sim_resilient(&input, &p, &inj, &RecoveryPolicy { max_retries: 6, cpu_fallback: true })
+                .unwrap();
         assert_eq!(out, want);
         assert!(faults.counters.any_injected(), "rates of 0.3 must fire somewhere");
         assert!(faults.counters.detected > 0);
@@ -1192,7 +1105,7 @@ mod tests {
         want.sort_unstable();
         let inj = faulty(3, 1.0, 0.0);
         let policy = RecoveryPolicy { max_retries: 2, cpu_fallback: true };
-        let (out, rep, faults) = sort_resilient(&input, &p, &inj, &policy).unwrap();
+        let (out, rep, faults) = sim_resilient(&input, &p, &inj, &policy).unwrap();
         assert_eq!(out, want);
         // A base block reads its whole chunk, so its flip is always
         // consumed: all 4 base blocks must degrade. (A merge-round flip
@@ -1215,7 +1128,7 @@ mod tests {
         let p = params();
         let input: Vec<u32> = (0..p.block_elems() as u32 * 2).rev().collect();
         let inj = faulty(3, 1.0, 0.0);
-        let err = sort_resilient(
+        let err = sim_resilient(
             &input,
             &p,
             &inj,
@@ -1238,7 +1151,7 @@ mod tests {
             for seed in 0..4 {
                 let inj = faulty(seed, 0.0, 0.5);
                 let (out, _, faults) =
-                    sort_resilient(&input, &p, &inj, &RecoveryPolicy::default()).unwrap();
+                    sim_resilient(&input, &p, &inj, &RecoveryPolicy::default()).unwrap();
                 assert_eq!(out, want, "seed {seed}");
                 assert!(faults.counters.corank_faults > 0, "seed {seed} fired nothing");
             }
@@ -1253,8 +1166,8 @@ mod tests {
         let input: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(7) % 512).collect();
         let inj = faulty(99, 0.4, 0.4);
         let policy = RecoveryPolicy::default();
-        let (out1, rep1, f1) = sort_resilient(&input, &p, &inj, &policy).unwrap();
-        let (out2, rep2, f2) = sort_resilient(&input, &p, &inj, &policy).unwrap();
+        let (out1, rep1, f1) = sim_resilient(&input, &p, &inj, &policy).unwrap();
+        let (out2, rep2, f2) = sim_resilient(&input, &p, &inj, &policy).unwrap();
         assert_eq!(out1, out2);
         assert_eq!(rep1, rep2);
         assert_eq!(f1, f2);
@@ -1269,8 +1182,8 @@ mod tests {
         let n = thrust.block_elems() * 8;
         let input: Vec<u32> = (0..n as u32).rev().collect();
 
-        let (out_t, rep_t) = sort_with_report(&input, &thrust).unwrap();
-        let (out_m, rep_m) = sort_with_report(&input, &mgpu).unwrap();
+        let (out_t, rep_t) = sim_sort(&input, &thrust).unwrap();
+        let (out_m, rep_m) = sim_sort(&input, &mgpu).unwrap();
         assert_eq!(out_t, out_m, "variants must agree on the output");
         // Shared-memory conflicts are identical: the tile work is the same.
         assert_eq!(

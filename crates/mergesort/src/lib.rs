@@ -15,14 +15,17 @@
 //!    its `bE` quantile by mutual binary search in global memory and
 //!    merging it in shared memory.
 //!
-//! [`driver::sort_with_report`] runs the whole pipeline (Rayon-parallel
-//! across blocks, deterministically reduced) and returns a
+//! [`driver::sort_on`] runs the whole pipeline (Rayon-parallel across
+//! blocks, deterministically reduced) and returns a
 //! [`instrument::SortReport`] with per-round, per-phase conflict counts —
-//! the quantities behind every figure in the paper's evaluation.
-//! [`assess::assess_input`] turns that into a one-call verdict on how
-//! adversarial an arbitrary workload is for a tuning.
+//! the quantities behind every figure in the paper's evaluation. A
+//! [`driver::SortSpec`] says which merge algorithm the global rounds use
+//! and which [`wcms_obs::Obs`] bundle observes them; its `Default` is the
+//! paper's pairwise sort, unobserved. [`assess::assess_input`] turns a
+//! report into a one-call verdict on how adversarial an arbitrary
+//! workload is for a tuning.
 //!
-//! [`driver::sort_resilient`] runs the same pipeline under a seeded
+//! [`driver::sort_resilient_on`] runs the same pipeline under a seeded
 //! [`wcms_gpu_sim::fault::FaultInjector`] with per-round corruption
 //! checks ([`verify::check_round_output`]), bounded retry from each
 //! unit's immutable input, and CPU-reference degradation — transient
@@ -35,6 +38,8 @@
 //! counter-free CPU [`backend::ReferenceBackend`] that also serves as
 //! the resilient degrade ladder's bottom rung. All three share the
 //! per-thread address schedules of [`schedule`].
+//! [`backend::BackendKind::sort`] picks the backend at run time and
+//! makes the sort cancellable through [`backend::Cancellable`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -61,10 +66,8 @@ pub use backend::{
 };
 pub use bitonic::bitonic_sort_with_report;
 pub use driver::{
-    sort, sort_algo_with_report_on, sort_algo_with_report_traced_on, sort_padded, sort_resilient,
-    sort_resilient_algo_on, sort_resilient_algo_traced_on, sort_resilient_on,
-    sort_resilient_traced_on, sort_with_report, sort_with_report_on, sort_with_report_traced_on,
-    FaultReport, RecoveryPolicy,
+    sort_on, sort_padded, sort_resilient_on, sort_with_report_on, FaultReport, RecoveryPolicy,
+    SortSpec,
 };
 pub use instrument::{PhaseTotals, RoundCounters, SortReport};
 pub use params::SortParams;

@@ -4,11 +4,11 @@
 //! inputs stay near the small empirical averages Karsin et al. report.
 
 use wcms_core::WorstCaseBuilder;
-use wcms_mergesort::{sort_with_report, SortParams};
+use wcms_mergesort::{sort_on, SimBackend, SortParams, SortSpec};
 use wcms_workloads::random::random_permutation;
 
 fn beta2_of(input: &[u32], p: &SortParams) -> f64 {
-    let (out, report) = sort_with_report(input, p).unwrap();
+    let (out, report) = sort_on(input, p, &SimBackend, &SortSpec::default()).unwrap();
     assert!(out.windows(2).all(|w| w[0] <= w[1]), "sort must still sort");
     report.global_beta2().expect("has global rounds")
 }
@@ -82,7 +82,7 @@ fn partial_adversarial_rounds_scale_conflicts() {
     let mut last = 0usize;
     for k in 0..=3usize {
         let input = builder.build_partial(n, k).unwrap();
-        let (_, report) = sort_with_report(&input, &p).unwrap();
+        let (_, report) = sort_on(&input, &p, &SimBackend, &SortSpec::default()).unwrap();
         let cycles: usize = report.rounds.iter().map(|r| r.shared.merge.cycles).sum();
         assert!(cycles >= last, "k={k}: cycles {cycles} < previous {last}");
         last = cycles;
@@ -146,17 +146,17 @@ fn worst_case_carries_to_wide_and_signed_keys() {
     let ranks = WorstCaseBuilder::new(w, e, b).unwrap().build(n).unwrap();
 
     let as_u64: Vec<u64> = ranks.iter().map(|&r| wcms_gpu_sim::GpuKey::from_rank(r)).collect();
-    let (out64, rep64) = sort_with_report(&as_u64, &p).unwrap();
+    let (out64, rep64) = sort_on(&as_u64, &p, &SimBackend, &SortSpec::default()).unwrap();
     assert!(out64.windows(2).all(|x| x[0] <= x[1]));
     assert!((rep64.global_beta2().unwrap() - e as f64).abs() < 1e-9);
 
     let as_i32: Vec<i32> = ranks.iter().map(|&r| wcms_gpu_sim::GpuKey::from_rank(r)).collect();
-    let (out32, rep32) = sort_with_report(&as_i32, &p).unwrap();
+    let (out32, rep32) = sort_on(&as_i32, &p, &SimBackend, &SortSpec::default()).unwrap();
     assert!(out32.windows(2).all(|x| x[0] <= x[1]));
     assert!((rep32.global_beta2().unwrap() - e as f64).abs() < 1e-9);
 
     // Wider keys cost proportionally more global sectors.
-    let (_, rep_u32) = sort_with_report(&ranks, &p).unwrap();
+    let (_, rep_u32) = sort_on(&ranks, &p, &SimBackend, &SortSpec::default()).unwrap();
     assert!(rep64.total().global.sectors > rep_u32.total().global.sectors);
 }
 

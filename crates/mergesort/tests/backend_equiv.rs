@@ -8,8 +8,7 @@
 use proptest::prelude::*;
 use wcms_core::WorstCaseBuilder;
 use wcms_mergesort::{
-    sort_algo_with_report_on, sort_with_report_on, AlgorithmKind, AnalyticBackend,
-    ReferenceBackend, SimBackend, SortParams,
+    sort_on, AlgorithmKind, AnalyticBackend, ReferenceBackend, SimBackend, SortParams, SortSpec,
 };
 
 const W: usize = 8;
@@ -72,9 +71,9 @@ proptest! {
         let mut want = input.clone();
         want.sort_unstable();
 
-        let (sim_out, sim_rep) = sort_with_report_on(&input, &p, &SimBackend).unwrap();
-        let (ana_out, ana_rep) = sort_with_report_on(&input, &p, &AnalyticBackend).unwrap();
-        let (ref_out, ref_rep) = sort_with_report_on(&input, &p, &ReferenceBackend).unwrap();
+        let (sim_out, sim_rep) = sort_on(&input, &p, &SimBackend, &SortSpec::default()).unwrap();
+        let (ana_out, ana_rep) = sort_on(&input, &p, &AnalyticBackend, &SortSpec::default()).unwrap();
+        let (ref_out, ref_rep) = sort_on(&input, &p, &ReferenceBackend, &SortSpec::default()).unwrap();
 
         prop_assert_eq!(&sim_out, &want);
         prop_assert_eq!(&ana_out, &want);
@@ -116,9 +115,9 @@ proptest! {
         let mut want = input.clone();
         want.sort_unstable();
 
-        let (sim_out, sim_rep) = sort_with_report_on(&input, &p, &SimBackend).unwrap();
-        let (ana_out, ana_rep) = sort_with_report_on(&input, &p, &AnalyticBackend).unwrap();
-        let (ref_out, _) = sort_with_report_on(&input, &p, &ReferenceBackend).unwrap();
+        let (sim_out, sim_rep) = sort_on(&input, &p, &SimBackend, &SortSpec::default()).unwrap();
+        let (ana_out, ana_rep) = sort_on(&input, &p, &AnalyticBackend, &SortSpec::default()).unwrap();
+        let (ref_out, _) = sort_on(&input, &p, &ReferenceBackend, &SortSpec::default()).unwrap();
 
         prop_assert_eq!(&sim_out, &want);
         prop_assert_eq!(&ana_out, &want);
@@ -147,13 +146,13 @@ proptest! {
         let input_fp = multiset_fingerprint(&input);
         let mut want = input.clone();
         want.sort_unstable();
-        let algo = AlgorithmKind::ALL[algo_idx].instance();
+        let spec = SortSpec { algorithm: AlgorithmKind::ALL[algo_idx], ..SortSpec::default() };
 
-        let (sim_out, sim_rep) = sort_algo_with_report_on(&input, &p, algo, &SimBackend).unwrap();
+        let (sim_out, sim_rep) = sort_on(&input, &p, &SimBackend, &spec).unwrap();
         let (ana_out, ana_rep) =
-            sort_algo_with_report_on(&input, &p, algo, &AnalyticBackend).unwrap();
+            sort_on(&input, &p, &AnalyticBackend, &spec).unwrap();
         let (ref_out, ref_rep) =
-            sort_algo_with_report_on(&input, &p, algo, &ReferenceBackend).unwrap();
+            sort_on(&input, &p, &ReferenceBackend, &spec).unwrap();
 
         prop_assert_eq!(&sim_out, &want);
         prop_assert_eq!(&ana_out, &want);

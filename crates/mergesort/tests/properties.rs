@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use wcms_mergesort::bitonic::bitonic_sort_with_report;
 use wcms_mergesort::params::SortVariant;
-use wcms_mergesort::{sort_with_report, SortParams};
+use wcms_mergesort::{sort_on, SimBackend, SortParams, SortSpec};
 
 fn tiny_params() -> SortParams {
     SortParams::new(8, 3, 16).unwrap() // bE = 48
@@ -34,7 +34,7 @@ proptest! {
             .collect();
         let mut want = input.clone();
         want.sort_unstable();
-        let (out, report) = sort_with_report(&input, &p).unwrap();
+        let (out, report) = sort_on(&input, &p, &SimBackend, &SortSpec::default()).unwrap();
         prop_assert_eq!(out, want);
         prop_assert_eq!(report.total().shared.combined().crew_violations, 0);
         prop_assert_eq!(report.rounds.len(), doublings as usize);
@@ -50,7 +50,7 @@ proptest! {
             let x = (i as u64).wrapping_mul(seed.wrapping_mul(2) + 1) % 9973;
             x as u32
         }).collect();
-        let (_, report) = sort_with_report(&input, &p).unwrap();
+        let (_, report) = sort_on(&input, &p, &SimBackend, &SortSpec::default()).unwrap();
         let total = report.total().shared.combined();
         prop_assert!(total.cycles >= total.steps);
         prop_assert!(total.accesses >= total.steps);
@@ -90,8 +90,8 @@ proptest! {
             .iter()
             .map(|&k| <u64 as wcms_gpu_sim::GpuKey>::from_rank(k))
             .collect();
-        let (out32, r32) = sort_with_report(&narrow, &p).unwrap();
-        let (out64, r64) = sort_with_report(&wide, &p).unwrap();
+        let (out32, r32) = sort_on(&narrow, &p, &SimBackend, &SortSpec::default()).unwrap();
+        let (out64, r64) = sort_on(&wide, &p, &SimBackend, &SortSpec::default()).unwrap();
         let mapped: Vec<u64> = out32
             .iter()
             .map(|&k| <u64 as wcms_gpu_sim::GpuKey>::from_rank(k))
@@ -107,7 +107,7 @@ proptest! {
 mod fault_resilience {
     use super::*;
     use wcms_gpu_sim::fault::{FaultConfig, FaultInjector};
-    use wcms_mergesort::{sort_resilient, RecoveryPolicy};
+    use wcms_mergesort::{sort_resilient_on, RecoveryPolicy, SimBackend, SortSpec};
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
@@ -142,7 +142,7 @@ mod fault_resilience {
                 ..FaultConfig::default()
             });
             let (out, report, faults) =
-                sort_resilient(&input, &p, &inj, &RecoveryPolicy::default()).unwrap();
+                sort_resilient_on(&input, &p, &SimBackend, &SortSpec::default(), &inj, &RecoveryPolicy::default()).unwrap();
             prop_assert_eq!(out, want);
             prop_assert_eq!(report.n, n);
             // Recovery bookkeeping is internally consistent.
@@ -164,13 +164,8 @@ mod fault_resilience {
             let n = p.block_elems() << doublings;
             let input: Vec<u32> =
                 (0..n).map(|i| ((i as u64 * (2 * seed + 1)) % 8191) as u32).collect();
-            let (plain_out, plain_rep) = sort_with_report(&input, &p).unwrap();
-            let (out, rep, faults) = sort_resilient(
-                &input,
-                &p,
-                &FaultInjector::disabled(),
-                &RecoveryPolicy::default(),
-            )
+            let (plain_out, plain_rep) = sort_on(&input, &p, &SimBackend, &SortSpec::default()).unwrap();
+            let (out, rep, faults) = sort_resilient_on(&input, &p, &SimBackend, &SortSpec::default(), &FaultInjector::disabled(), &RecoveryPolicy::default())
             .unwrap();
             prop_assert_eq!(out, plain_out);
             prop_assert_eq!(rep, plain_rep);

@@ -33,12 +33,12 @@ use std::sync::mpsc;
 use std::sync::Mutex;
 use std::time::Duration;
 
-use wcms_bench::experiment::{measure_algo_traced, SweepConfig};
+use wcms_bench::experiment::{measure, SweepConfig};
 use wcms_bench::resilient::ResilienceConfig;
 use wcms_bench::supervisor::{run_sweep, supervise_cell, SweepOptions};
 use wcms_error::{CancelToken, WcmsError};
 use wcms_gpu_sim::DeviceSpec;
-use wcms_mergesort::SortParams;
+use wcms_mergesort::{SortParams, SortSpec};
 use wcms_obs::{fields, Obs, TraceContext, LATENCY_BUCKETS_S, TRACE_SEED};
 
 use crate::admission::AdmissionQueue;
@@ -281,9 +281,8 @@ impl Server {
                     (*family, *n, *runs, *algorithm, client.clone());
                 let outcome = supervise_cell(&cell, *backend, &resilience, move |rung, token| {
                     outer.check()?;
-                    measure_algo_traced(
-                        &device, &params, family, n, runs, algorithm, rung, token, &cell_obs,
-                    )
+                    let sort = SortSpec { algorithm, obs: &cell_obs };
+                    measure(&device, &params, family, n, runs, rung, &sort, token)
                 });
                 Response::Measure { cell: outcome.result }
             }
@@ -360,9 +359,8 @@ impl Server {
                     |n| format!("serve/grid/{n}"),
                     move |n, rung, token| {
                         outer.check()?;
-                        measure_algo_traced(
-                            &device, &params, family, n, runs, algorithm, rung, token, &cell_obs,
-                        )
+                        let sort = SortSpec { algorithm, obs: &cell_obs };
+                        measure(&device, &params, family, n, runs, rung, &sort, token)
                     },
                 );
                 let complete = swept

@@ -9,7 +9,7 @@
 
 use wcms::adversary::WorstCaseBuilder;
 use wcms::gpu::fault::{FaultConfig, FaultInjector};
-use wcms::mergesort::{sort_resilient, RecoveryPolicy, SortParams};
+use wcms::mergesort::{sort_resilient_on, RecoveryPolicy, SimBackend, SortParams, SortSpec};
 use wcms::WcmsError;
 
 fn main() -> Result<(), WcmsError> {
@@ -34,8 +34,14 @@ fn main() -> Result<(), WcmsError> {
         ),
     ] {
         let injector = FaultInjector::new(cfg);
-        let (out, _, faults) =
-            sort_resilient(&input, &params, &injector, &RecoveryPolicy::default())?;
+        let (out, _, faults) = sort_resilient_on(
+            &input,
+            &params,
+            &SimBackend,
+            &SortSpec::default(),
+            &injector,
+            &RecoveryPolicy::default(),
+        )?;
         let sorted = out.windows(2).all(|w| w[0] <= w[1]);
         println!(
             "{label} sorted={sorted} injected={} detected={} retries={} cpu_fallbacks={}",

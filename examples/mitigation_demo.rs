@@ -8,7 +8,7 @@
 
 use wcms::adversary::WorstCaseBuilder;
 use wcms::gpu::{DeviceSpec, Occupancy};
-use wcms::mergesort::{sort_with_report, SortParams};
+use wcms::mergesort::{sort_on, SimBackend, SortParams, SortSpec};
 use wcms::workloads::random::random_permutation;
 use wcms::WcmsError;
 
@@ -30,7 +30,7 @@ fn main() -> Result<(), WcmsError> {
         ("padded + worst-case", &padded, &worst),
         ("padded + random", &padded, &random),
     ] {
-        let (out, report) = sort_with_report(input, params)?;
+        let (out, report) = sort_on(input, params, &SimBackend, &SortSpec::default())?;
         assert!(out.windows(2).all(|w| w[0] <= w[1]));
         println!(
             "{label:<22} {:>12.2} {:>12.3} {:>16} {:>12}",

@@ -6,7 +6,7 @@
 
 use wcms::adversary::WorstCaseBuilder;
 use wcms::gpu::{CostModel, DeviceSpec, Occupancy};
-use wcms::mergesort::{sort_with_report, SortParams};
+use wcms::mergesort::{sort_on, SimBackend, SortParams, SortSpec};
 use wcms::workloads::random::random_permutation;
 use wcms::WcmsError;
 
@@ -47,7 +47,7 @@ fn main() -> Result<(), WcmsError> {
     let model = CostModel::default();
     let mut times = Vec::new();
     for (label, input) in [("random", &random), ("worst-case", &worst)] {
-        let (sorted, report) = sort_with_report(input, &params)?;
+        let (sorted, report) = sort_on(input, &params, &SimBackend, &SortSpec::default())?;
         assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "output must be sorted");
         let t = model.estimate(&device, &occ, &report.kernel_counters(), report.blocks_launched());
         times.push(t.total_s);

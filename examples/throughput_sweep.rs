@@ -6,7 +6,7 @@
 
 use wcms::adversary::WorstCaseBuilder;
 use wcms::gpu::{CostModel, DeviceSpec, Occupancy};
-use wcms::mergesort::{sort_with_report, SortParams};
+use wcms::mergesort::{sort_on, SimBackend, SortParams, SortSpec};
 use wcms::workloads::random::random_permutation;
 use wcms::workloads::sorted::{reverse_sorted, sorted};
 use wcms::WcmsError;
@@ -43,7 +43,7 @@ fn main() -> Result<(), WcmsError> {
         ];
         print!("{n:>10}");
         for (_, input) in &inputs {
-            let (_, report) = sort_with_report(input, &params)?;
+            let (_, report) = sort_on(input, &params, &SimBackend, &SortSpec::default())?;
             let t =
                 model.estimate(&device, &occ, &report.kernel_counters(), report.blocks_launched());
             print!(" {:>12.0}", n as f64 / t.total_s / 1e6);

@@ -30,7 +30,7 @@ use wcms::adversary::evaluate::access_matrix;
 use wcms::adversary::{construct, evaluate, theorem_aligned_count, WorstCaseBuilder};
 use wcms::gpu::{CostModel, DeviceSpec, Occupancy};
 use wcms::mergesort::assess_input;
-use wcms::mergesort::{sort_with_report, SortParams};
+use wcms::mergesort::{sort_on, SimBackend, SortParams, SortSpec};
 use wcms::workloads::dataset::{
     read_keys, sort_dataset_file, write_keys, DatasetReader, DatasetWriter, MultisetFingerprint,
     DEFAULT_CHUNK_KEYS,
@@ -169,7 +169,7 @@ fn sort_cmd(
             })
         }
     };
-    let (out, report) = sort_with_report(&input, &params)?;
+    let (out, report) = sort_on(&input, &params, &SimBackend, &SortSpec::default())?;
     assert!(out.windows(2).all(|x| x[0] <= x[1]));
     let device = DeviceSpec::quadro_m4000();
     // Name the full (E, b, device) triple when the configuration does

@@ -28,3 +28,9 @@ pub use wcms_gpu_sim as gpu;
 pub use wcms_mergepath as mergepath;
 pub use wcms_mergesort as mergesort;
 pub use wcms_workloads as workloads;
+
+/// Compiles and runs the README's code blocks as doctests, so the
+/// library tour cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;

@@ -3,7 +3,7 @@
 
 use wcms::adversary::{construct, evaluate, theorem_aligned_count, WorstCaseBuilder};
 use wcms::gpu::{CostModel, DeviceSpec, Occupancy};
-use wcms::mergesort::{sort_with_report, SortParams};
+use wcms::mergesort::{sort_on, SimBackend, SortParams, SortSpec};
 use wcms::workloads::random::random_permutation;
 use wcms::workloads::WorkloadSpec;
 
@@ -22,7 +22,7 @@ fn slowdown_grows_with_rounds() {
         for doublings in [2u32, 4, 6] {
             let n = params.block_elems() << doublings;
             let time = |input: &[u32]| {
-                let (_, r) = sort_with_report(input, &params).unwrap();
+                let (_, r) = sort_on(input, &params, &SimBackend, &SortSpec::default()).unwrap();
                 model.estimate(&device, &occ, &r.kernel_counters(), r.blocks_launched()).total_s
             };
             let worst = time(&builder.build(n).unwrap());
@@ -48,7 +48,7 @@ fn analytic_and_simulated_conflicts_agree() {
     let params = SortParams::new(w, e, b).unwrap();
     let n = params.block_elems() * 4; // 2 global rounds
     let input = WorstCaseBuilder::new(w, e, b).unwrap().build(n).unwrap();
-    let (_, report) = sort_with_report(&input, &params).unwrap();
+    let (_, report) = sort_on(&input, &params, &SimBackend, &SortSpec::default()).unwrap();
 
     let asg = construct(w, e).unwrap();
     let per_warp = evaluate(&asg).unwrap().cycles();
@@ -70,7 +70,7 @@ fn theorem_counts_survive_the_full_stack() {
         let params = SortParams::new(w, e, b).unwrap();
         let n = params.block_elems() * 2;
         let input = WorstCaseBuilder::new(w, e, b).unwrap().build(n).unwrap();
-        let (_, report) = sort_with_report(&input, &params).unwrap();
+        let (_, report) = sort_on(&input, &params, &SimBackend, &SortSpec::default()).unwrap();
         let round = &report.rounds[0];
         let warp_merges = params.blocks_for(n) * params.warps_per_block();
         // Aligned elements imply at least `theorem` conflict cycles per
@@ -104,7 +104,7 @@ fn all_workloads_sort_correctly() {
     for spec in specs {
         let input = spec.generate(n, params.w, params.e, params.b).unwrap();
         assert_eq!(input.len(), n, "{}", spec.label());
-        let (out, _) = sort_with_report(&input, &params).unwrap();
+        let (out, _) = sort_on(&input, &params, &SimBackend, &SortSpec::default()).unwrap();
         let mut want = input.clone();
         want.sort_unstable();
         assert_eq!(out, want, "workload {}", spec.label());

@@ -3,11 +3,17 @@
 //! must come out exactly sorted (zero silent corruption), datasets must
 //! fail loudly when torn, and a disabled injector must cost nothing.
 
+use std::collections::HashSet;
+use std::sync::Arc;
 use wcms::adversary::WorstCaseBuilder;
 use wcms::gpu::fault::{FaultConfig, FaultInjector};
-use wcms::mergesort::{sort_resilient, sort_with_report, RecoveryPolicy, SortParams};
+
+use wcms::mergesort::{
+    sort_on, sort_resilient_on, AlgorithmKind, RecoveryPolicy, SimBackend, SortParams, SortSpec,
+};
 use wcms::workloads::dataset::{read_keys, write_keys};
 use wcms::WcmsError;
+use wcms_obs::{Clock, FieldValue, Obs, Phase, Record, RingCollector};
 
 fn thrust_like() -> SortParams {
     SortParams::new(8, 3, 16).unwrap() // scaled-down tile, same structure
@@ -31,8 +37,15 @@ fn worst_case_input_survives_fault_storm() {
             corank_rate: 0.25,
             ..FaultConfig::default()
         });
-        let (out, report, faults) =
-            sort_resilient(&input, &p, &inj, &RecoveryPolicy::default()).unwrap();
+        let (out, report, faults) = sort_resilient_on(
+            &input,
+            &p,
+            &SimBackend,
+            &SortSpec::default(),
+            &inj,
+            &RecoveryPolicy::default(),
+        )
+        .unwrap();
         assert_eq!(out, want, "seed {seed}: silent corruption");
         assert_eq!(report.n, n);
         assert!(faults.counters.any_injected(), "seed {seed}: storm fired nothing");
@@ -53,7 +66,15 @@ fn degradation_is_per_unit_not_global() {
         tile_bitflip_rate: 1.0,
         ..FaultConfig::default()
     });
-    let (out, _, faults) = sort_resilient(&input, &p, &inj, &RecoveryPolicy::default()).unwrap();
+    let (out, _, faults) = sort_resilient_on(
+        &input,
+        &p,
+        &SimBackend,
+        &SortSpec::default(),
+        &inj,
+        &RecoveryPolicy::default(),
+    )
+    .unwrap();
     assert!(out.windows(2).all(|w| w[0] <= w[1]));
     assert_eq!(faults.counters.cpu_fallbacks, faults.degraded.len());
     // All 8 base blocks read their whole (always-corrupted) chunk.
@@ -70,9 +91,15 @@ fn fault_storm_without_fallback_fails_loudly() {
         tile_bitflip_rate: 1.0,
         ..FaultConfig::default()
     });
-    let err =
-        sort_resilient(&input, &p, &inj, &RecoveryPolicy { max_retries: 0, cpu_fallback: false })
-            .unwrap_err();
+    let err = sort_resilient_on(
+        &input,
+        &p,
+        &SimBackend,
+        &SortSpec::default(),
+        &inj,
+        &RecoveryPolicy { max_retries: 0, cpu_fallback: false },
+    )
+    .unwrap_err();
     assert!(matches!(err, WcmsError::FaultUnrecoverable { .. }), "{err}");
 }
 
@@ -83,12 +110,94 @@ fn disabled_injector_costs_nothing_on_worst_case() {
     let p = thrust_like();
     let n = p.block_elems() * 8;
     let input = WorstCaseBuilder::new(p.w, p.e, p.b).unwrap().build(n).unwrap();
-    let (plain_out, plain_rep) = sort_with_report(&input, &p).unwrap();
-    let (out, rep, faults) =
-        sort_resilient(&input, &p, &FaultInjector::disabled(), &RecoveryPolicy::default()).unwrap();
+    let (plain_out, plain_rep) = sort_on(&input, &p, &SimBackend, &SortSpec::default()).unwrap();
+    let (out, rep, faults) = sort_resilient_on(
+        &input,
+        &p,
+        &SimBackend,
+        &SortSpec::default(),
+        &FaultInjector::disabled(),
+        &RecoveryPolicy::default(),
+    )
+    .unwrap();
     assert_eq!(out, plain_out);
     assert_eq!(rep, plain_rep);
     assert!(faults.clean());
+}
+
+fn field(record: &Record, key: &str) -> FieldValue {
+    let found = record.fields.iter().find(|f| f.key == key);
+    found.unwrap_or_else(|| panic!("{} lacks `{key}`", record.name)).value.clone()
+}
+
+fn count(record: &Record, key: &str) -> usize {
+    match field(record, key) {
+        FieldValue::U64(v) => v as usize,
+        other => panic!("{} field `{key}` is {other:?}", record.name),
+    }
+}
+
+/// Observing a resilient sort changes nothing and misses nothing: under
+/// a recording `Obs`, the run opens one `sort-resilient` span, every
+/// injected fault is exactly one `fault-injected` event whose
+/// coordinates replay it on the injector, the `fault_*` counters equal
+/// the returned fault report, and output and both reports are identical
+/// to the unobserved run.
+#[test]
+fn traced_resilient_sort_reports_every_fault_once() {
+    let p = thrust_like();
+    let n = p.block_elems() * 16;
+    let input = WorstCaseBuilder::new(p.w, p.e, p.b).unwrap().build(n).unwrap();
+    let seed = 42;
+    let inj = FaultInjector::new(FaultConfig {
+        seed,
+        tile_bitflip_rate: 0.25,
+        corank_rate: 0.25,
+        ..FaultConfig::default()
+    });
+    let policy = RecoveryPolicy::default();
+
+    for algorithm in AlgorithmKind::ALL {
+        let plain = SortSpec { algorithm, ..SortSpec::default() };
+        let untraced = sort_resilient_on(&input, &p, &SimBackend, &plain, &inj, &policy).unwrap();
+
+        let ring = Arc::new(RingCollector::new());
+        let obs = Obs::with_recorder(ring.clone(), Clock::virtual_us(1));
+        let traced_spec = SortSpec { algorithm, obs: &obs };
+        let traced =
+            sort_resilient_on(&input, &p, &SimBackend, &traced_spec, &inj, &policy).unwrap();
+        assert_eq!(traced, untraced, "{algorithm}: observation must not perturb the sort");
+
+        let (records, dropped) = ring.snapshot();
+        assert_eq!(dropped, 0);
+        let opened = records.iter().filter(|r| r.phase == Phase::Begin);
+        assert_eq!(opened.filter(|r| r.name == "sort-resilient").count(), 1, "{algorithm}");
+
+        let c = &traced.2.counters;
+        assert!(c.tile_faults > 0 && c.corank_faults > 0, "{algorithm}: storm fired too little");
+        let events: Vec<&Record> = records.iter().filter(|r| r.name == "fault-injected").collect();
+        assert_eq!(events.len(), c.tile_faults + c.corank_faults, "{algorithm}");
+        let mut seen = HashSet::new();
+        for ev in &events {
+            assert_eq!(field(ev, "seed"), FieldValue::U64(seed));
+            let FieldValue::Str(kind) = field(ev, "kind") else { panic!("{ev:?}") };
+            let (round, unit, attempt) =
+                (count(ev, "round"), count(ev, "unit"), count(ev, "attempt"));
+            let replays = match kind.as_str() {
+                "tile-bitflip" => inj.tile_fault_at(round, unit, attempt),
+                "corank" => inj.corank_fault_at(round, unit, attempt),
+                other => panic!("unknown fault kind {other}"),
+            };
+            assert!(replays, "{algorithm}: {ev:?} does not replay on the injector");
+            assert!(seen.insert((kind, round, unit, attempt)), "{algorithm}: {ev:?} twice");
+        }
+
+        let metric = |name: &str| obs.metrics.counter(name).get() as usize;
+        assert_eq!(metric("faults_injected_total"), c.tile_faults + c.corank_faults);
+        assert_eq!(metric("faults_detected_total"), c.detected);
+        assert_eq!(metric("fault_retries_total"), c.retries);
+        assert_eq!(metric("fault_cpu_fallbacks_total"), c.cpu_fallbacks);
+    }
 }
 
 /// A dataset written for an external GPU harness, torn by the injector

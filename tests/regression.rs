@@ -4,7 +4,7 @@
 //! changes must update the constants *and* EXPERIMENTS.md.
 
 use wcms::adversary::{construct, evaluate, WorstCaseBuilder};
-use wcms::mergesort::{sort_with_report, SortParams};
+use wcms::mergesort::{sort_on, SimBackend, SortParams, SortSpec};
 
 /// Per-warp merge-stage cycles of the constructions (Σ step degrees).
 #[test]
@@ -31,7 +31,7 @@ fn pinned_sort_counters() {
     let p = SortParams::new(32, 7, 64).unwrap();
     let n = p.block_elems() * 8;
     let input = WorstCaseBuilder::new(32, 7, 64).unwrap().build(n).unwrap();
-    let (out, report) = sort_with_report(&input, &p).unwrap();
+    let (out, report) = sort_on(&input, &p, &SimBackend, &SortSpec::default()).unwrap();
     assert!(out.windows(2).all(|w| w[0] <= w[1]));
 
     // Global rounds: 3; every merge step is a 7-way conflict:
@@ -56,8 +56,8 @@ fn merge_phase_steps_are_data_independent() {
     let n = p.block_elems() * 4;
     let a: Vec<u32> = (0..n as u32).collect();
     let b: Vec<u32> = (0..n as u32).rev().collect();
-    let (_, ra) = sort_with_report(&a, &p).unwrap();
-    let (_, rb) = sort_with_report(&b, &p).unwrap();
+    let (_, ra) = sort_on(&a, &p, &SimBackend, &SortSpec::default()).unwrap();
+    let (_, rb) = sort_on(&b, &p, &SimBackend, &SortSpec::default()).unwrap();
     for (x, y) in ra.rounds.iter().zip(&rb.rounds) {
         assert_eq!(x.shared.merge.steps, y.shared.merge.steps);
         assert_eq!(x.shared.merge.accesses, y.shared.merge.accesses);
