@@ -1,13 +1,8 @@
 //! `wcms-analyze` — the workspace's static-analysis gate.
 //!
-//! ```text
-//! wcms-analyze [--verify-bounds] [--model-check] [--model-check-shard] [--crosscheck]
-//!              [--lint] [--all] [--warp W] [--doublings D] [--min-schedules N]
-//!              [--root PATH] [--allowlist PATH] [--json]
-//! ```
-//!
-//! Exit status 0 when every requested pass is clean, 1 on any finding,
-//! 2 on usage errors. CI runs `wcms-analyze --all` as a required job.
+//! Run with `--help` for the flags. Exit status 0 when every requested
+//! pass is clean, 1 on any finding, 2 on usage errors. CI runs
+//! `wcms-analyze --all` as a required job.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -20,77 +15,53 @@ use wcms_analyzer::lint::lint_workspace;
 use wcms_analyzer::model_fs::{check_fs_consistency, check_fs_mutations};
 use wcms_analyzer::shard_model::{check_shard_mutations, check_shard_protocol};
 use wcms_analyzer::supervisor_model::check_supervisor_protocol;
+use wcms_error::cli::{invalid, Args, Flag};
+use wcms_error::WcmsError;
 
 struct Options {
-    verify_bounds: bool,
-    model_check: bool,
-    model_check_shard: bool,
-    crosscheck: bool,
-    lint: bool,
+    args: Args,
     json: bool,
     warp: usize,
     doublings: usize,
     min_schedules: usize,
-    root: PathBuf,
-    allowlist: Option<PathBuf>,
 }
 
-const USAGE: &str = "usage: wcms-analyze [--verify-bounds] [--model-check] \
-[--model-check-shard] [--crosscheck] [--lint] [--all] [--warp W] [--doublings D] \
-[--min-schedules N] [--root PATH] [--allowlist PATH] [--json]";
-
-fn parse_args() -> Result<Options, String> {
-    let mut o = Options {
-        verify_bounds: false,
-        model_check: false,
-        model_check_shard: false,
-        crosscheck: false,
-        lint: false,
-        json: false,
-        warp: 32,
-        doublings: 2,
-        min_schedules: 10_000,
-        root: PathBuf::from("."),
-        allowlist: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut value =
-            |name: &str| args.next().ok_or_else(|| format!("{name} needs a value\n{USAGE}"));
-        match a.as_str() {
-            "--verify-bounds" => o.verify_bounds = true,
-            "--model-check" => o.model_check = true,
-            "--model-check-shard" => o.model_check_shard = true,
-            "--crosscheck" => o.crosscheck = true,
-            "--lint" => o.lint = true,
-            "--all" => {
-                o.verify_bounds = true;
-                o.model_check = true;
-                o.model_check_shard = true;
-                o.crosscheck = true;
-                o.lint = true;
-            }
-            "--json" => o.json = true,
-            "--warp" => {
-                o.warp = value("--warp")?.parse().map_err(|e| format!("--warp: {e}"))?;
-            }
-            "--doublings" => {
-                o.doublings =
-                    value("--doublings")?.parse().map_err(|e| format!("--doublings: {e}"))?;
-            }
-            "--min-schedules" => {
-                o.min_schedules = value("--min-schedules")?
-                    .parse()
-                    .map_err(|e| format!("--min-schedules: {e}"))?;
-            }
-            "--root" => o.root = PathBuf::from(value("--root")?),
-            "--allowlist" => o.allowlist = Some(PathBuf::from(value("--allowlist")?)),
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other => return Err(format!("unknown flag {other}\n{USAGE}")),
-        }
+impl Options {
+    /// Was the pass `flag` requested (directly or through `--all`)?
+    fn pass(&self, flag: &str) -> bool {
+        self.args.flag("--all") || self.args.flag(flag)
     }
-    if !(o.verify_bounds || o.model_check || o.model_check_shard || o.crosscheck || o.lint) {
-        return Err(format!("nothing to do — pick a pass or --all\n{USAGE}"));
+}
+
+const ANALYZE_FLAGS: &[Flag] = &[
+    Flag::switch("--verify-bounds", "symbolic per-warp bounds vs. the closed forms, every E < w"),
+    Flag::switch("--model-check", "exhaustive interleavings of the sweep supervisor"),
+    Flag::switch("--model-check-shard", "lease/steal protocol and checkpoint crash consistency"),
+    Flag::switch("--crosscheck", "symbolic verdicts vs. the DMM oracle and analytic sorts"),
+    Flag::switch("--lint", "token-level workspace lint"),
+    Flag::switch("--all", "every pass above"),
+    Flag::value("--warp", "w", "warp width (default 32)"),
+    Flag::value("--doublings", "d", "crosscheck grid doublings (default 2)"),
+    Flag::value("--min-schedules", "n", "fail a model check exploring fewer (default 10000)"),
+    Flag::value("--root", "path", "workspace root to lint (default .)"),
+    Flag::value("--allowlist", "path", "lint allowlist (default <root>/lint-allowlist.txt)"),
+    Flag::switch("--json", "one JSON document instead of text"),
+];
+
+fn parse_args() -> Result<Options, WcmsError> {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = Args::parse("wcms-analyze", &[ANALYZE_FLAGS], &argv)?;
+    let o = Options {
+        json: args.flag("--json"),
+        warp: args.get_or("--warp", 32)?,
+        doublings: args.get_or("--doublings", 2)?,
+        min_schedules: args.get_or("--min-schedules", 10_000)?,
+        args,
+    };
+    let passes =
+        ["--verify-bounds", "--model-check", "--model-check-shard", "--crosscheck", "--lint"];
+    if !passes.iter().any(|f| o.pass(f)) {
+        return Err(invalid("nothing to do: pick a pass or --all (see `wcms-analyze --help`)"));
     }
     Ok(o)
 }
@@ -117,15 +88,15 @@ fn main() -> ExitCode {
     let o = match parse_args() {
         Ok(o) => o,
         Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
+            eprintln!("wcms-analyze: {e}");
+            return ExitCode::from(2); // usage error
         }
     };
 
     let mut ok = true;
     let mut json_sections: Vec<String> = Vec::new();
 
-    if o.verify_bounds {
+    if o.pass("--verify-bounds") {
         // Multiway rounds for a representative tuning slice: co-prime,
         // shared-factor and power-of-two E under a 4-way fan-in. Rounds
         // with no closed form (the irregular interleavings) are
@@ -231,7 +202,7 @@ fn main() -> ExitCode {
         }
     }
 
-    if o.model_check {
+    if o.pass("--model-check") {
         let reports = check_supervisor_protocol(&ExploreConfig::default());
         let total: usize = reports.iter().map(|r| r.report.schedules).sum();
         let violations: usize = reports.iter().map(|r| r.report.violations.len()).sum();
@@ -283,7 +254,7 @@ fn main() -> ExitCode {
         ok &= clean;
     }
 
-    if o.model_check_shard {
+    if o.pass("--model-check-shard") {
         let scenarios = check_shard_protocol(&ExploreConfig::default());
         let fs_scripts = check_fs_consistency();
         let mutations = check_shard_mutations(&ExploreConfig::default());
@@ -453,7 +424,7 @@ fn main() -> ExitCode {
         ok &= clean;
     }
 
-    if o.crosscheck {
+    if o.pass("--crosscheck") {
         let grid = warp_grid_disagreements(o.warp);
         let cells = crosscheck_fig4(o.doublings);
         match (grid, cells) {
@@ -517,11 +488,14 @@ fn main() -> ExitCode {
         }
     }
 
-    if o.lint {
-        let allowlist_path =
-            o.allowlist.clone().unwrap_or_else(|| o.root.join("lint-allowlist.txt"));
+    if o.pass("--lint") {
+        let root = PathBuf::from(o.args.value("--root").unwrap_or("."));
+        let allowlist_path = o
+            .args
+            .value("--allowlist")
+            .map_or_else(|| root.join("lint-allowlist.txt"), PathBuf::from);
         let allowlist = std::fs::read_to_string(&allowlist_path).unwrap_or_default();
-        match lint_workspace(&o.root, &allowlist) {
+        match lint_workspace(&root, &allowlist) {
             Ok(report) => {
                 if o.json {
                     json_sections.push(format!("\"lint\":{}", report.to_json()));

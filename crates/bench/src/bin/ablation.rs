@@ -9,22 +9,23 @@
 //! 4. **Cost-model overlap** — how the modelled slowdown responds to the
 //!    overlap knob (0 = perfect overlap … 1 = additive).
 //!
-//! Usage: `ablation [--quick] [--backend <sim|analytic|reference>]
-//!                  [--algorithm <pairwise|multiway>] [--jobs <n>]`
+//! Run with `--help` for the flags.
 
 use std::process::ExitCode;
 
+use wcms_bench::cliargs::{ADHOC_FLAGS, SWEEP_FLAGS};
 use wcms_bench::experiment::model_time;
-use wcms_bench::panel::adhoc_binary_main;
+use wcms_bench::panel::AdhocArgs;
 use wcms_bench::supervisor::parallel_map;
 use wcms_core::{WorstCaseBuilder, WorstCaseFamily};
-use wcms_error::{CancelToken, WcmsError};
+use wcms_error::{cli, CancelToken, WcmsError};
 use wcms_gpu_sim::{CostModel, DeviceSpec, Occupancy};
 use wcms_mergesort::{SortParams, SortReport, SortSpec};
 use wcms_workloads::random::random_permutation;
 
 fn main() -> ExitCode {
-    adhoc_binary_main("ablation", |args| {
+    cli::main("ablation", &[ADHOC_FLAGS, SWEEP_FLAGS], |argv| {
+        let args = AdhocArgs::from_args(argv)?;
         let device = DeviceSpec::quadro_m4000();
         let params = SortParams::new(32, 15, 128)?;
         let doublings = if args.quick { 4 } else { 6 };

@@ -14,28 +14,26 @@
 //! to the sequential reference — zero lost cells, zero diverging
 //! double-commits, corrupt state quarantined and re-measured.
 //!
-//! Usage: `chaos [--cycles <k>] [--multi-cycles <k>] [--jobs <n>]
-//!               [--seed <s>] [--backend <sim|analytic|reference>]
-//!               [--keep]`
+//! Run with `--help` for the flags.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode, Stdio};
 use std::time::Duration;
 
+use wcms_error::cli::{self, invalid, Args, Flag};
 use wcms_error::WcmsError;
 
-fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("chaos: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
+const CHAOS_FLAGS: &[Flag] = &[
+    Flag::value("--cycles", "k", "kill/corrupt/resume cycles (default 5)"),
+    Flag::value("--multi-cycles", "k", "multi-process steal drills (default 2)"),
+    Flag::value("--jobs", "n", "fig4 worker threads (default 4)"),
+    Flag::value("--seed", "s", "kill-point seed, replays a failing run"),
+    Flag::value("--backend", "sim|analytic|reference", "fig4 backend (default sim)"),
+    Flag::switch("--keep", "keep the scratch directory"),
+];
 
-fn bad(msg: String) -> WcmsError {
-    WcmsError::Io(std::io::Error::new(std::io::ErrorKind::InvalidInput, msg))
+fn main() -> ExitCode {
+    cli::main("chaos", &[CHAOS_FLAGS], run)
 }
 
 /// Deterministic kill-point generator (an LCG — the harness must not
@@ -53,39 +51,26 @@ impl Lcg {
     }
 }
 
-fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, WcmsError> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) => {
-            args.get(i + 1).cloned().map(Some).ok_or_else(|| bad(format!("{flag} needs a value")))
-        }
-    }
-}
-
 /// The fig4 and merge binaries ship next to this one in the target
 /// directory.
 fn sibling(name: &str) -> Result<PathBuf, WcmsError> {
     let me = std::env::current_exe()?;
-    let dir = me.parent().ok_or_else(|| bad("current_exe has no parent".into()))?;
+    let dir = me.parent().ok_or_else(|| invalid("current_exe has no parent"))?;
     let path = dir.join(format!("{name}{}", std::env::consts::EXE_SUFFIX));
     if path.exists() {
         Ok(path)
     } else {
-        Err(bad(format!("{name} binary not found at {} — build it first", path.display())))
+        Err(invalid(format!("{name} binary not found at {} — build it first", path.display())))
     }
 }
 
-fn run() -> Result<(), WcmsError> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cycles: u32 = flag_value(&args, "--cycles")?
-        .map_or(Ok(5), |v| v.parse().map_err(|_| bad(format!("bad --cycles: {v}"))))?;
-    let jobs = flag_value(&args, "--jobs")?.unwrap_or_else(|| "4".into());
-    let seed: u64 = flag_value(&args, "--seed")?
-        .map_or(Ok(0xC4A05), |v| v.parse().map_err(|_| bad(format!("bad --seed: {v}"))))?;
-    let backend = flag_value(&args, "--backend")?.unwrap_or_else(|| "sim".into());
-    let keep = args.iter().any(|a| a == "--keep");
-    let multi_cycles: u32 = flag_value(&args, "--multi-cycles")?
-        .map_or(Ok(2), |v| v.parse().map_err(|_| bad(format!("bad --multi-cycles: {v}"))))?;
+fn run(args: &Args) -> Result<(), WcmsError> {
+    let cycles: u32 = args.get_or("--cycles", 5)?;
+    let jobs = args.value("--jobs").unwrap_or("4");
+    let seed: u64 = args.get_or("--seed", 0xC4A05)?;
+    let backend = args.value("--backend").unwrap_or("sim");
+    let keep = args.flag("--keep");
+    let multi_cycles: u32 = args.get_or("--multi-cycles", 2)?;
 
     let fig4 = sibling("fig4")?;
     let merge = sibling("merge")?;
@@ -99,7 +84,7 @@ fn run() -> Result<(), WcmsError> {
     let started = clock.now_us();
     let reference = run_to_completion(
         &fig4,
-        &["--quick", "--jobs", "1", "--no-checkpoint", "--backend", &backend],
+        &["--quick", "--jobs", "1", "--no-checkpoint", "--backend", backend],
     )?;
     // Kill points are drawn from the sweep's actual duration, so some
     // cycles die mid-sweep with cells on disk and some die early.
@@ -112,10 +97,10 @@ fn run() -> Result<(), WcmsError> {
     // Sanity: an uninterrupted *parallel* run must already match.
     let parallel = run_to_completion(
         &fig4,
-        &["--quick", "--jobs", &jobs, "--no-checkpoint", "--backend", &backend],
+        &["--quick", "--jobs", jobs, "--no-checkpoint", "--backend", backend],
     )?;
     if parallel != reference {
-        return Err(bad(format!(
+        return Err(invalid(format!(
             "uninterrupted --jobs {jobs} run differs from sequential before any chaos"
         )));
     }
@@ -124,7 +109,7 @@ fn run() -> Result<(), WcmsError> {
         let ckpt = scratch.join(format!("cycle-{cycle}"));
         let ckpt_s = ckpt.to_string_lossy().into_owned();
         let sweep_args =
-            ["--quick", "--jobs", &jobs, "--checkpoint-dir", &ckpt_s, "--backend", &backend];
+            ["--quick", "--jobs", jobs, "--checkpoint-dir", &ckpt_s, "--backend", backend];
 
         // Phase 1: start the sweep, kill it after a random delay.
         let mut child = Command::new(&fig4)
@@ -152,7 +137,7 @@ fn run() -> Result<(), WcmsError> {
         if resumed != reference {
             std::fs::write(scratch.join("expected.csv"), &reference)?;
             std::fs::write(scratch.join("got.csv"), &resumed)?;
-            return Err(bad(format!(
+            return Err(invalid(format!(
                 "cycle {cycle}: resumed CSV differs from the reference run \
                  (seed {seed}, delay {delay:?}); see {}",
                 scratch.display()
@@ -165,7 +150,7 @@ fn run() -> Result<(), WcmsError> {
             &fig4,
             &merge,
             &scratch,
-            &backend,
+            backend,
             &reference,
             &mut rng,
             ref_ms,
@@ -272,7 +257,7 @@ fn multi_process_cycle(
     for child in &mut restarted {
         let status = child.wait()?;
         if !status.success() {
-            return Err(bad(format!("multi cycle {cycle}: restarted worker failed: {status}")));
+            return Err(invalid(format!("multi cycle {cycle}: restarted worker failed: {status}")));
         }
     }
 
@@ -289,7 +274,7 @@ fn multi_process_cycle(
     if merged != reference {
         std::fs::write(scratch.join("expected.csv"), reference)?;
         std::fs::write(scratch.join("got.csv"), &merged)?;
-        return Err(bad(format!(
+        return Err(invalid(format!(
             "multi cycle {cycle}: merged CSV differs from the reference run (seed {seed}); \
              see {}",
             scratch.display()
@@ -347,7 +332,7 @@ fn corrupt_random_lease(ckpt: &Path, rng: &mut Lcg) -> Result<bool, WcmsError> {
 fn run_to_completion(fig4: &Path, args: &[&str]) -> Result<Vec<u8>, WcmsError> {
     let out = Command::new(fig4).args(args).stderr(Stdio::null()).output()?;
     if !out.status.success() {
-        return Err(bad(format!("fig4 {} failed with {}", args.join(" "), out.status)));
+        return Err(invalid(format!("fig4 {} failed with {}", args.join(" "), out.status)));
     }
     Ok(out.stdout)
 }

@@ -5,22 +5,23 @@
 //! Θ(log N) extra passes. This quantifies the paper's remark that
 //! conflict-free algorithms "come at a price of … more overall work".
 //!
-//! Usage: `compare_sorts [--quick] [--backend <sim|analytic|reference>]
-//!                       [--algorithm <pairwise|multiway>] [--jobs <n>]`
-//! (backend and algorithm apply to the merge sort; bitonic always simulates)
+//! Run with `--help` for the flags; `--backend` and `--algorithm` apply
+//! to the merge sort, bitonic always simulates.
 
 use std::process::ExitCode;
 
+use wcms_bench::cliargs::{ADHOC_FLAGS, SWEEP_FLAGS};
 use wcms_bench::experiment::model_time;
-use wcms_bench::panel::adhoc_binary_main;
-use wcms_error::{CancelToken, WcmsError};
+use wcms_bench::panel::AdhocArgs;
+use wcms_error::{cli, CancelToken, WcmsError};
 use wcms_gpu_sim::DeviceSpec;
 use wcms_mergesort::bitonic::bitonic_sort_with_report;
 use wcms_mergesort::{SortParams, SortReport, SortSpec};
 use wcms_workloads::random::random_permutation;
 
 fn main() -> ExitCode {
-    adhoc_binary_main("compare_sorts", |args| {
+    cli::main("compare_sorts", &[ADHOC_FLAGS, SWEEP_FLAGS], |argv| {
+        let args = AdhocArgs::from_args(argv)?;
         let device = DeviceSpec::quadro_m4000();
         // Power-of-two tile so both sorts accept the same sizes. With a
         // power-of-two E, the pairwise sort's worst case is *sorted order*

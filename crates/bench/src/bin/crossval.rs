@@ -4,43 +4,21 @@
 //! the wall-clock speedup. Exits non-zero on any divergence, so CI can
 //! use it as a gate.
 //!
-//! Usage: `crossval [--quick|--standard|--full]`
+//! Run with `--help` for the flags.
 
 use std::process::ExitCode;
 
+use wcms_bench::cliargs::{sweep_size, SIZE_FLAGS};
 use wcms_bench::crossval::{cross_validate, default_jobs};
-use wcms_bench::experiment::SweepConfig;
-use wcms_error::WcmsError;
+use wcms_error::cli::{self, invalid};
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(all_equal) => {
-            if all_equal {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
+    cli::main("crossval", &[SIZE_FLAGS], |args| {
+        let report = cross_validate(&default_jobs(&sweep_size(args)?)?)?;
+        print!("{}", report.render());
+        if !report.all_equal() {
+            return Err(invalid(format!("{} cell(s) diverged", report.mismatches().len())));
         }
-        Err(e) => {
-            eprintln!("crossval: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn run() -> Result<bool, WcmsError> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let sweep = if args.iter().any(|a| a == "--quick") {
-        SweepConfig::quick()
-    } else if args.iter().any(|a| a == "--full") {
-        SweepConfig::full()
-    } else {
-        SweepConfig::standard()
-    };
-    let report = cross_validate(&default_jobs(&sweep)?)?;
-    print!("{}", report.render());
-    if !report.all_equal() {
-        eprintln!("crossval: {} cell(s) diverged", report.mismatches().len());
-    }
-    Ok(report.all_equal())
+        Ok(())
+    })
 }

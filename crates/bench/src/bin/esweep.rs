@@ -6,25 +6,27 @@
 //! the simulated device, exposing where the libraries' `E = 15/17`
 //! choices sit.
 //!
-//! Usage: `esweep [--quick] [--rtx] [--backend <sim|analytic|reference>]
-//!                [--algorithm <pairwise|multiway>] [--jobs <n>]`
+//! Run with `--help` for the flags.
 
 use std::process::ExitCode;
 
+use wcms_bench::cliargs::{ADHOC_FLAGS, SWEEP_FLAGS};
 use wcms_bench::experiment::measure;
-use wcms_bench::panel::adhoc_binary_main;
+use wcms_bench::panel::AdhocArgs;
+use wcms_error::cli::{self, Flag};
 use wcms_error::CancelToken;
 use wcms_gpu_sim::DeviceSpec;
 use wcms_mergesort::{SortParams, SortSpec};
 use wcms_workloads::WorkloadSpec;
 
+const ESWEEP_FLAGS: &[Flag] =
+    &[Flag::switch("--rtx", "sweep on the RTX 2080 Ti instead of the Quadro M4000")];
+
 fn main() -> ExitCode {
-    adhoc_binary_main("esweep", |args| {
-        let device = if args.has_flag("--rtx") {
-            DeviceSpec::rtx_2080_ti()
-        } else {
-            DeviceSpec::quadro_m4000()
-        };
+    cli::main("esweep", &[ADHOC_FLAGS, SWEEP_FLAGS, ESWEEP_FLAGS], |argv| {
+        let args = AdhocArgs::from_args(argv)?;
+        let device =
+            if argv.flag("--rtx") { DeviceSpec::rtx_2080_ti() } else { DeviceSpec::quadro_m4000() };
         let doublings = if args.quick { 4 } else { 6 };
         let b = 128usize;
         let (backend, algorithm) = (args.backend, args.algorithm);

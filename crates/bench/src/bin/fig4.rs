@@ -2,17 +2,12 @@
 //! M4000 — Thrust (E=15, b=512) and Modern GPU (E=15, b=128), random vs.
 //! constructed worst-case inputs.
 //!
-//! Usage: `fig4 [--quick|--standard|--full] [--backend <sim|analytic|reference>]
-//!              [--algorithm <pairwise|multiway>] [--jobs <n>] [--markdown]
-//!              [--resume] [--timeout <secs>] [--retries <k>]
-//!              [--checkpoint-dir <dir>] [--no-checkpoint]
-//!              [--shard-index <i> --shard-count <n> | --steal --worker-id <id>
-//!               [--lease-ttl <secs>] | --replay]`
+//! Run with `--help` for the flags.
 
 use std::process::ExitCode;
 
-use wcms_bench::panel::{build_figure_panels, figure_binary_main};
+use wcms_bench::panel::figure_binary_main;
 
 fn main() -> ExitCode {
-    figure_binary_main("fig4", |args| build_figure_panels("fig4", &args.opts))
+    figure_binary_main("fig4")
 }

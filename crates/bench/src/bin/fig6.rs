@@ -3,17 +3,12 @@
 //! inputs, both parameter sets. The paper's point: the conflict curve
 //! predicts the runtime curve, and both grow logarithmically with N.
 //!
-//! Usage: `fig6 [--quick|--standard|--full] [--backend <sim|analytic|reference>]
-//!              [--algorithm <pairwise|multiway>] [--jobs <n>] [--resume]
-//!              [--timeout <secs>] [--retries <k>]
-//!              [--checkpoint-dir <dir>] [--no-checkpoint]
-//!              [--shard-index <i> --shard-count <n> | --steal --worker-id <id>
-//!               [--lease-ttl <secs>] | --replay]`
+//! Run with `--help` for the flags.
 
 use std::process::ExitCode;
 
-use wcms_bench::panel::{build_figure_panels, figure_binary_main};
+use wcms_bench::panel::figure_binary_main;
 
 fn main() -> ExitCode {
-    figure_binary_main("fig6", |args| build_figure_panels("fig6", &args.opts))
+    figure_binary_main("fig6")
 }

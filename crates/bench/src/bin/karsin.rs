@@ -16,17 +16,16 @@
 //! per-cell deadlines/retries, and resumable checkpoints (`--resume`;
 //! cells are keyed by family × workload × algorithm × N).
 //!
-//! Usage: `karsin [--quick|--standard|--full] [--backend <sim|analytic|reference>]
-//!               [--jobs <n>] [--resume] [--timeout <secs>] [--retries <k>]
-//!               [--checkpoint-dir <dir>] [--no-checkpoint]`
+//! Run with `--help` for the flags.
 
 use std::process::ExitCode;
 
 use wcms_bench::checkpoint::CellResult;
-use wcms_bench::cliargs::figure_args_from_env;
+use wcms_bench::cliargs::{figure_args, FIGURE_TABLES};
 use wcms_bench::experiment::{measure, Measurement};
 use wcms_bench::figures::RANDOM_SEED;
 use wcms_bench::supervisor::run_sweep;
+use wcms_error::cli::{self, Args};
 use wcms_error::WcmsError;
 use wcms_gpu_sim::DeviceSpec;
 use wcms_mergesort::{AlgorithmKind, SortParams, SortSpec};
@@ -35,17 +34,11 @@ use wcms_workloads::WorkloadSpec;
 type Cell = (String, &'static str, SortParams, WorkloadSpec, AlgorithmKind, usize);
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("karsin: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    cli::main("karsin", FIGURE_TABLES, run)
 }
 
-fn run() -> Result<(), WcmsError> {
-    let args = figure_args_from_env("karsin")?;
+fn run(argv: &Args) -> Result<(), WcmsError> {
+    let args = figure_args("karsin", argv)?;
     let device = DeviceSpec::quadro_m4000();
     let families = [
         ("small-E (Thm 3)", SortParams::new(32, 3, 64)?, WorkloadSpec::WorstCase),

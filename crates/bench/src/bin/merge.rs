@@ -14,68 +14,37 @@
 //! incomplete grid; (c) absorbs the per-shard metric exports
 //! (`shard-metrics-*.prom`) into one unified `# sweep-summary` line.
 //!
-//! Usage: `merge --figure <fig4|fig5|fig6> [--from <dir>]...
-//!              [--quick|--standard|--full] [--backend <...>]
-//!              [--algorithm <...>] [--markdown] [--checkpoint-dir <dir>]
-//!              [--trace <path>] [--metrics <path>]`
+//! Run with `--help` for the flags.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use wcms_bench::cliargs::parse_figure_args;
+use wcms_bench::cliargs::{figure_args, FIGURE_FLAGS, MERGE_FLAGS, SIZE_FLAGS, SWEEP_FLAGS};
 use wcms_bench::panel::build_figure_panels;
 use wcms_bench::resilient::SweepStats;
 use wcms_bench::shard::LOST_PREFIX;
+use wcms_error::cli::{self, invalid, Args};
 use wcms_error::WcmsError;
 use wcms_obs::{parse_prometheus_text, MetricsRegistry};
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("merge: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    cli::main("merge", &[MERGE_FLAGS, SIZE_FLAGS, SWEEP_FLAGS, FIGURE_FLAGS], run)
 }
 
-fn bad(msg: String) -> WcmsError {
-    WcmsError::Io(std::io::Error::new(std::io::ErrorKind::InvalidInput, msg))
-}
-
-fn run() -> Result<(), WcmsError> {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut figure = None;
-    let mut from: Vec<PathBuf> = Vec::new();
-    let mut fig_argv: Vec<String> = Vec::new();
-    let mut it = argv.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--figure" => {
-                figure =
-                    Some(it.next().ok_or_else(|| bad("--figure: missing figure name".into()))?);
-            }
-            "--from" => {
-                from.push(PathBuf::from(
-                    it.next().ok_or_else(|| bad("--from: missing directory".into()))?,
-                ));
-            }
-            _ => fig_argv.push(a),
-        }
-    }
-    let figure = figure.ok_or_else(|| bad("merge requires --figure <fig4|fig5|fig6>".into()))?;
+fn run(argv: &Args) -> Result<(), WcmsError> {
+    let figure = argv.required("--figure")?;
+    let from: Vec<PathBuf> = argv.values("--from").map(PathBuf::from).collect();
     // The whole point of the merge is rendering from checkpoints only.
-    if !fig_argv.iter().any(|a| a == "--replay") {
-        fig_argv.push("--replay".into());
-    }
-    let args = parse_figure_args(&figure, &fig_argv)?;
+    let mut argv = argv.clone();
+    argv.force("--replay");
+    let args = figure_args(figure, &argv)?;
     let store = args
         .opts
         .resilience
         .checkpoint
         .clone()
-        .ok_or_else(|| bad("merge requires a checkpoint store".into()))?;
+        .ok_or_else(|| invalid("merge requires a checkpoint store"))?;
 
     let mut report = JoinReport::default();
     for dir in &from {
@@ -92,7 +61,7 @@ fn run() -> Result<(), WcmsError> {
 
     // Re-render through the exact pipeline the figure binaries use —
     // same grid, same panel code — with every cell replayed from disk.
-    let panels = build_figure_panels(&figure, &args.opts)?;
+    let panels = build_figure_panels(figure, &args.opts)?;
     let lost: Vec<String> = panels
         .iter()
         .flat_map(|p| p.report.skipped.iter())
@@ -100,7 +69,7 @@ fn run() -> Result<(), WcmsError> {
         .map(|s| format!("{}/{}", s.series, s.n))
         .collect();
     if !lost.is_empty() {
-        return Err(bad(format!(
+        return Err(invalid(format!(
             "refusing to publish an incomplete grid: {} lost cell(s): {}",
             lost.len(),
             lost.join(", ")
@@ -109,7 +78,7 @@ fn run() -> Result<(), WcmsError> {
     for panel in &panels {
         let (data, comments) = panel.render(args.backend(), args.markdown);
         eprint!("{comments}");
-        eprintln!("{}", panel.report.stats.summary_line(&figure));
+        eprintln!("{}", panel.report.stats.summary_line(figure));
         print!("{data}");
     }
 
@@ -118,7 +87,7 @@ fn run() -> Result<(), WcmsError> {
     let mut shards = 0usize;
     for name in store.aux_names("shard-metrics-")? {
         let text = store.read_aux(&name)?;
-        let reg = parse_prometheus_text(&text).map_err(|e| bad(format!("{name}: {e}")))?;
+        let reg = parse_prometheus_text(&text).map_err(|e| invalid(format!("{name}: {e}")))?;
         unified.absorb(&reg);
         shards += 1;
     }
@@ -147,7 +116,7 @@ fn join_dir(target: &Path, src: &Path, report: &mut JoinReport) -> Result<(), Wc
     if fs::canonicalize(src).ok() == fs::canonicalize(target).ok() {
         return Ok(()); // joining the target into itself is a no-op
     }
-    for entry in fs::read_dir(src).map_err(|e| bad(format!("--from {}: {e}", src.display())))? {
+    for entry in fs::read_dir(src).map_err(|e| invalid(format!("--from {}: {e}", src.display())))? {
         let path = entry?.path();
         let Some(name) = path.file_name().and_then(|n| n.to_str()).map(String::from) else {
             continue;
@@ -166,14 +135,14 @@ fn join_dir(target: &Path, src: &Path, report: &mut JoinReport) -> Result<(), Wc
                 }
             }
             Ok(_) if is_cell => {
-                return Err(bad(format!(
+                return Err(invalid(format!(
                     "cell file {name} differs between {} and the target store: \
                      a cell was double-committed with diverging results",
                     src.display()
                 )));
             }
             Ok(_) => {
-                return Err(bad(format!(
+                return Err(invalid(format!(
                     "{name} differs between {} and the target store: \
                      shards from different configurations cannot be merged",
                     src.display()

@@ -3,37 +3,32 @@
 //! Karsin β₁/β₂ averages on random inputs and their growth with
 //! inversions (`--beta`).
 //!
-//! Usage: `summary [--quick|--standard|--full] [--beta]
-//!                 [--backend <sim|analytic|reference>] [--jobs <n>]
-//!                 [--resume] [--timeout <secs>] [--retries <k>]
-//!                 [--checkpoint-dir <dir>] [--no-checkpoint]`
+//! Run with `--help` for the flags.
 
 use std::process::ExitCode;
 
-use wcms_bench::cliargs::figure_args_from_env;
+use wcms_bench::cliargs::{figure_args, FIGURE_FLAGS, SIZE_FLAGS, SWEEP_FLAGS};
 use wcms_bench::experiment::{measure_on, SweepConfig};
 use wcms_bench::figures::{fig4, fig5_mgpu, fig5_thrust};
 use wcms_bench::resilient::SkippedCell;
 use wcms_bench::summary::slowdown_table;
+use wcms_error::cli::{self, Args, Flag};
 use wcms_error::WcmsError;
 use wcms_gpu_sim::DeviceSpec;
 use wcms_mergesort::{BackendKind, SortParams};
 use wcms_workloads::WorkloadSpec;
 
+const SUMMARY_FLAGS: &[Flag] =
+    &[Flag::switch("--beta", "Karsin beta1/beta2 vs. inversions instead of the slowdown table")];
+
 fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("summary: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    cli::main("summary", &[SIZE_FLAGS, SWEEP_FLAGS, FIGURE_FLAGS, SUMMARY_FLAGS], run)
 }
 
-fn run() -> Result<(), WcmsError> {
-    let args = figure_args_from_env("summary")?;
+fn run(argv: &Args) -> Result<(), WcmsError> {
+    let args = figure_args("summary", argv)?;
 
-    if std::env::args().any(|a| a == "--beta") {
+    if argv.flag("--beta") {
         return beta_report(&args.opts.sweep, args.backend());
     }
 

@@ -1,28 +1,6 @@
-//! Shared command-line parsing for the figure binaries.
-//!
-//! Every figure runner accepts the same resilience surface:
-//!
-//! ```text
-//! [--quick|--standard|--full]   sweep size (default --standard)
-//! [--backend <sim|analytic|reference>]  execution backend (default sim)
-//! [--algorithm <pairwise|multiway>]     sort algorithm (default pairwise)
-//! [--jobs <n>]                  worker threads for the sweep (default 1)
-//! [--markdown]                  markdown tables instead of CSV
-//! [--resume]                    reuse checkpointed cells from a prior run
-//! [--timeout <secs>]            per-cell wall-clock budget
-//! [--retries <k>]               extra attempts per failed/timed-out cell
-//! [--checkpoint-dir <dir>]      override results/.checkpoint/<figure>/<backend>
-//! [--no-checkpoint]             disable checkpointing entirely
-//! [--trace <path>]              write a JSONL span/event journal of the run
-//! [--trace-parent <t/s>]        adopt a caller's trace context (wire form)
-//! [--metrics <path>]            write a Prometheus text metrics snapshot
-//! [--shard-index <i>]           static sharding: run cells i, i+count, …
-//! [--shard-count <n>]           …of an n-way split of the grid
-//! [--steal]                     dynamic work stealing over the shared store
-//! [--worker-id <id>]            stable worker name for --steal (required)
-//! [--lease-ttl <secs>]          steal leases after this long (default 30)
-//! [--replay]                    render entirely from checkpointed cells
-//! ```
+//! Shared command-line parsing for the figure binaries: the flag
+//! tables (run any binary with `--help` for the generated list) and
+//! their meaning.
 //!
 //! The shard modes (`--shard-index/--shard-count`, `--steal`,
 //! `--replay`) make n independent *processes* cooperate on one grid
@@ -47,6 +25,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
+use wcms_error::cli::{invalid, Args, Flag};
 use wcms_error::WcmsError;
 use wcms_mergesort::{AlgorithmKind, BackendKind};
 use wcms_obs::{Clock, Obs, RingCollector, TraceContext};
@@ -54,9 +33,55 @@ use wcms_obs::{Clock, Obs, RingCollector, TraceContext};
 use crate::checkpoint::{CheckpointStore, SweepFingerprint};
 use crate::experiment::SweepConfig;
 use crate::figures::RANDOM_SEED;
+use crate::panel::AdhocArgs;
 use crate::resilient::ResilienceConfig;
 use crate::shard::{RetryJitter, ShardPolicy, DEFAULT_LEASE_TTL};
 use crate::supervisor::SweepOptions;
+
+/// Sweep size, shared by the figure family and `crossval`.
+pub const SIZE_FLAGS: &[Flag] = &[
+    Flag::switch("--quick", "smallest grid, for CI and smoke runs"),
+    Flag::switch("--standard", "the default grid"),
+    Flag::switch("--full", "the paper-scale grid"),
+];
+
+/// The surface every sweeping binary speaks, ad-hoc studies included.
+pub const SWEEP_FLAGS: &[Flag] = &[
+    Flag::value("--backend", "sim|analytic|reference", "execution backend (default sim)"),
+    Flag::value("--algorithm", "pairwise|multiway", "sort algorithm (default pairwise)"),
+    Flag::value("--jobs", "n", "worker threads (default 1)"),
+    Flag::value("--shard-index", "i", "static sharding: run cells i, i+count, ..."),
+    Flag::value("--shard-count", "n", "...of an n-way split of the grid"),
+];
+
+/// The checkpointed sweeps' flags (figures, `summary`, `karsin`, `merge`).
+pub const FIGURE_FLAGS: &[Flag] = &[
+    Flag::switch("--markdown", "markdown tables instead of CSV"),
+    Flag::switch("--resume", "reuse checkpointed cells from a prior run"),
+    Flag::value("--timeout", "secs", "per-cell wall-clock budget"),
+    Flag::value("--retries", "k", "extra attempts per failed or timed-out cell"),
+    Flag::value("--checkpoint-dir", "dir", "override results/.checkpoint/<figure>/<backend>"),
+    Flag::switch("--no-checkpoint", "disable checkpointing entirely"),
+    Flag::value("--trace", "path", "write a JSONL span/event journal of the run"),
+    Flag::value("--trace-parent", "t/s", "adopt a caller's trace context (wire form)"),
+    Flag::value("--metrics", "path", "write a Prometheus text metrics snapshot"),
+    Flag::switch("--steal", "dynamic work stealing over the shared store"),
+    Flag::value("--worker-id", "id", "stable worker name for --steal (required)"),
+    Flag::value("--lease-ttl", "secs", "steal leases after this long (default 30)"),
+    Flag::switch("--replay", "render entirely from checkpointed cells"),
+];
+
+/// Every table a figure binary accepts.
+pub const FIGURE_TABLES: &[&[Flag]] = &[SIZE_FLAGS, SWEEP_FLAGS, FIGURE_FLAGS];
+
+/// `merge`'s own flags, read ahead of [`FIGURE_TABLES`].
+pub const MERGE_FLAGS: &[Flag] = &[
+    Flag::value("--figure", "fig4|fig5|fig6", "the figure to re-render (required)"),
+    Flag::value("--from", "dir", "join this per-shard checkpoint dir first (repeatable)"),
+];
+
+/// With [`SWEEP_FLAGS`], the ad-hoc studies' whole shared surface.
+pub const ADHOC_FLAGS: &[Flag] = &[Flag::switch("--quick", "smaller grids for CI and smoke runs")];
 
 /// Parsed figure-binary arguments.
 #[derive(Debug, Clone)]
@@ -113,10 +138,6 @@ impl FigureArgs {
     }
 }
 
-fn bad(msg: String) -> WcmsError {
-    WcmsError::Io(std::io::Error::new(std::io::ErrorKind::InvalidInput, msg))
-}
-
 /// Parse `args` (without the program name) for the figure `figure`.
 ///
 /// # Errors
@@ -126,40 +147,49 @@ fn bad(msg: String) -> WcmsError {
 /// [`WcmsError::CheckpointMismatch`]; checkpoint-directory failures as
 /// their underlying I/O error.
 pub fn parse_figure_args(figure: &str, args: &[String]) -> Result<FigureArgs, WcmsError> {
-    let sweep = if args.iter().any(|a| a == "--quick") {
-        SweepConfig::quick()
-    } else if args.iter().any(|a| a == "--full") {
-        SweepConfig::full()
-    } else {
-        SweepConfig::standard()
-    };
-    let value_of = |flag: &str| -> Option<&str> {
-        args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
-    };
+    figure_args(figure, &Args::parse(figure, FIGURE_TABLES, args)?)
+}
 
-    let backend = backend_from_args(args)?;
-    let algorithm = algorithm_from_args(args)?;
-    let jobs = jobs_from_args(args)?;
-    let shard = shard_from_args(args)?;
+/// The sweep size `--quick`, `--standard` (the default) or `--full`.
+///
+/// # Errors
+///
+/// Rejects more than one of the three.
+pub fn sweep_size(args: &Args) -> Result<SweepConfig, WcmsError> {
+    match (args.flag("--quick"), args.flag("--standard"), args.flag("--full")) {
+        (false, _, false) => Ok(SweepConfig::standard()),
+        (true, false, false) => Ok(SweepConfig::quick()),
+        (false, false, true) => Ok(SweepConfig::full()),
+        _ => Err(invalid("--quick, --standard and --full are mutually exclusive")),
+    }
+}
+
+/// [`FigureArgs`] from parsed [`FIGURE_TABLES`] flags.
+///
+/// # Errors
+///
+/// As [`parse_figure_args`].
+pub fn figure_args(figure: &str, args: &Args) -> Result<FigureArgs, WcmsError> {
+    let sweep = sweep_size(args)?;
+    let AdhocArgs { backend, algorithm, jobs, shard, .. } = AdhocArgs::from_args(args)?;
 
     let mut resilience = ResilienceConfig::none();
-    if let Some(secs) = value_of("--timeout") {
-        let secs: f64 = secs.parse().map_err(|_| bad(format!("--timeout {secs}: not a number")))?;
-        if secs.is_nan() || secs <= 0.0 {
-            return Err(bad(format!("--timeout {secs}: must be positive")));
+    if let Some(secs) = args.get::<f64>("--timeout")? {
+        if !(secs.is_finite() && secs > 0.0) {
+            return Err(invalid(format!("--timeout {secs}: must be positive and finite")));
         }
         resilience.timeout = Some(Duration::from_secs_f64(secs));
         resilience.backoff = Duration::from_millis(100);
     }
-    if let Some(k) = value_of("--retries") {
-        resilience.retries = k.parse().map_err(|_| bad(format!("--retries {k}: not a count")))?;
+    if let Some(k) = args.get("--retries")? {
+        resilience.retries = k;
         if resilience.backoff.is_zero() {
             resilience.backoff = Duration::from_millis(100);
         }
     }
 
-    let trace = value_of("--trace").map(PathBuf::from);
-    let metrics = value_of("--metrics").map(PathBuf::from);
+    let trace = args.value("--trace").map(PathBuf::from);
+    let metrics = args.value("--metrics").map(PathBuf::from);
     let mut ring = None;
     if trace.is_some() {
         // Tracing implies metrics recording; both share one bundle.
@@ -169,12 +199,12 @@ pub fn parse_figure_args(figure: &str, args: &[String]) -> Result<FigureArgs, Wc
     } else if metrics.is_some() {
         resilience.obs = Obs::enabled(Clock::wall());
     }
-    if let Some(parent) = value_of("--trace-parent") {
+    if let Some(parent) = args.value("--trace-parent") {
         // A daemon (or a wrapping script) hands its context to the
         // worker here; the sweep span then parents to the caller's
         // span and the whole fleet joins into one causal tree.
         let ctx = TraceContext::decode(parent)
-            .map_err(|e| bad(format!("--trace-parent {parent}: {e}")))?;
+            .map_err(|e| invalid(format!("--trace-parent {parent}: {e}")))?;
         resilience.obs = resilience.obs.with_context(ctx);
     }
     if ring.is_some() {
@@ -187,9 +217,9 @@ pub fn parse_figure_args(figure: &str, args: &[String]) -> Result<FigureArgs, Wc
     }
 
     if !shard.is_off() {
-        if args.iter().any(|a| a == "--no-checkpoint") {
-            return Err(bad(
-                "--no-checkpoint: shard modes coordinate through the checkpoint store".into(),
+        if args.flag("--no-checkpoint") {
+            return Err(invalid(
+                "--no-checkpoint: shard modes coordinate through the checkpoint store",
             ));
         }
         // Per-shard metrics are the merge step's input — always record
@@ -206,14 +236,14 @@ pub fn parse_figure_args(figure: &str, args: &[String]) -> Result<FigureArgs, Wc
     }
     // Shard modes imply --resume: the store is shared, and a fresh-run
     // clear() here would destroy cells the other workers committed.
-    let resume = args.iter().any(|a| a == "--resume") || !shard.is_off();
-    if !args.iter().any(|a| a == "--no-checkpoint") {
+    let resume = args.flag("--resume") || !shard.is_off();
+    if !args.flag("--no-checkpoint") {
         // Namespace the default per backend: sim and analytic sweeps of
         // the same figure must never share (or clear) each other's cells.
         // The algorithm joins the namespace the same way — but pairwise
         // keeps the historical un-suffixed directory, so existing
         // pairwise checkpoints survive this flag's introduction.
-        let dir = value_of("--checkpoint-dir").map(String::from).unwrap_or_else(|| {
+        let dir = args.value("--checkpoint-dir").map(String::from).unwrap_or_else(|| {
             if algorithm == AlgorithmKind::Pairwise {
                 format!("results/.checkpoint/{figure}/{backend}")
             } else {
@@ -234,97 +264,37 @@ pub fn parse_figure_args(figure: &str, args: &[String]) -> Result<FigureArgs, Wc
 
     Ok(FigureArgs {
         opts: SweepOptions { sweep, resilience, backend, algorithm, jobs, shard },
-        markdown: args.iter().any(|a| a == "--markdown"),
+        markdown: args.flag("--markdown"),
         trace,
         metrics,
         ring,
     })
 }
 
-/// Parse `--backend <sim|analytic|reference>` from a raw argument list.
-/// The ad-hoc binaries (`esweep`, `ablation`, `compare_sorts`, `karsin`)
-/// share this one parser with [`parse_figure_args`], so the flag means
-/// the same thing everywhere.
-///
-/// # Errors
-///
-/// Returns the [`BackendKind`] parse error for an unknown backend name.
-pub fn backend_from_args(args: &[String]) -> Result<BackendKind, WcmsError> {
-    match args.iter().position(|a| a == "--backend").and_then(|i| args.get(i + 1)) {
-        Some(name) => name.parse(),
-        None => Ok(BackendKind::default()),
-    }
-}
-
-/// Parse `--algorithm <pairwise|multiway>` from a raw argument list
-/// (default pairwise — the paper's sort). Shared by the figure binaries
-/// and the ad-hoc sweeps, so the flag means the same thing everywhere.
-///
-/// # Errors
-///
-/// Returns the [`AlgorithmKind`] parse error for an unknown algorithm
-/// name.
-pub fn algorithm_from_args(args: &[String]) -> Result<AlgorithmKind, WcmsError> {
-    match args.iter().position(|a| a == "--algorithm").and_then(|i| args.get(i + 1)) {
-        Some(name) => name.parse(),
-        None => Ok(AlgorithmKind::default()),
-    }
-}
-
-/// Parse `--jobs <n>` from a raw argument list (default 1 — the
-/// sequential path). Shared by the figure binaries and the ad-hoc
-/// sweeps, so the flag means the same thing everywhere.
-///
-/// # Errors
-///
-/// Rejects a missing, non-numeric or zero worker count.
-pub fn jobs_from_args(args: &[String]) -> Result<usize, WcmsError> {
-    match args.iter().position(|a| a == "--jobs").and_then(|i| args.get(i + 1)) {
-        Some(n) => {
-            let jobs: usize =
-                n.parse().map_err(|_| bad(format!("--jobs {n}: not a worker count")))?;
-            if jobs == 0 {
-                return Err(bad("--jobs 0: need at least one worker".into()));
-            }
-            Ok(jobs)
-        }
-        None => {
-            if args.iter().any(|a| a == "--jobs") {
-                return Err(bad("--jobs: missing worker count".into()));
-            }
-            Ok(1)
-        }
-    }
-}
-
-/// Parse the multi-process sharding flags from a raw argument list:
-/// `--shard-index <i> --shard-count <n>` (static), `--steal
-/// --worker-id <id> [--lease-ttl <secs>]` (dynamic), or `--replay`
-/// (render from checkpoints only). Shared by the figure binaries and
-/// the ad-hoc sweeps, so the flags mean the same thing everywhere.
+/// Parse the multi-process sharding flags: `--shard-index <i>
+/// --shard-count <n>` (static), `--steal --worker-id <id> [--lease-ttl
+/// <secs>]` (dynamic), or `--replay` (render from checkpoints only). A
+/// binary whose table lacks the lease-based flags gets static sharding
+/// or none.
 ///
 /// # Errors
 ///
 /// Rejects mixed modes, a lone `--shard-index`/`--shard-count`, an
 /// out-of-range index, `--steal` without a worker id, a non-positive
 /// lease TTL, and `--worker-id`/`--lease-ttl` outside `--steal`.
-pub fn shard_from_args(args: &[String]) -> Result<ShardPolicy, WcmsError> {
-    let value_of = |flag: &str| -> Option<&str> {
-        args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
-    };
-    let steal = args.iter().any(|a| a == "--steal");
-    let replay = args.iter().any(|a| a == "--replay");
-    let static_mode =
-        args.iter().any(|a| a == "--shard-index") || args.iter().any(|a| a == "--shard-count");
+pub fn shard_from_args(args: &Args) -> Result<ShardPolicy, WcmsError> {
+    let steal = args.flag("--steal");
+    let replay = args.flag("--replay");
+    let static_mode = args.flag("--shard-index") || args.flag("--shard-count");
     if usize::from(steal) + usize::from(replay) + usize::from(static_mode) > 1 {
-        return Err(bad(
-            "--shard-index/--shard-count, --steal and --replay are mutually exclusive".into(),
+        return Err(invalid(
+            "--shard-index/--shard-count, --steal and --replay are mutually exclusive",
         ));
     }
     if !steal {
         for flag in ["--worker-id", "--lease-ttl"] {
-            if args.iter().any(|a| a == flag) {
-                return Err(bad(format!("{flag} only makes sense with --steal")));
+            if args.flag(flag) {
+                return Err(invalid(format!("{flag} only makes sense with --steal")));
             }
         }
     }
@@ -332,41 +302,36 @@ pub fn shard_from_args(args: &[String]) -> Result<ShardPolicy, WcmsError> {
         return Ok(ShardPolicy::Replay);
     }
     if steal {
-        let worker = value_of("--worker-id")
+        let worker = args
+            .value("--worker-id")
             .ok_or_else(|| {
-                bad("--steal requires --worker-id <id>: a stable, pid-independent worker \
-                     name (lease ownership and jitter must survive restarts)"
-                    .into())
+                invalid(
+                    "--steal requires --worker-id <id>: a stable, pid-independent worker \
+                     name (lease ownership and jitter must survive restarts)",
+                )
             })?
             .to_string();
         if worker.is_empty() || worker.starts_with("--") {
-            return Err(bad(format!("--worker-id {worker}: not a worker name")));
+            return Err(invalid(format!("--worker-id {worker}: not a worker name")));
         }
-        let ttl = match value_of("--lease-ttl") {
+        let ttl = match args.get::<f64>("--lease-ttl")? {
             None => DEFAULT_LEASE_TTL,
-            Some(s) => {
-                let secs: f64 =
-                    s.parse().map_err(|_| bad(format!("--lease-ttl {s}: not a number")))?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err(bad(format!("--lease-ttl {s}: must be positive")));
-                }
-                Duration::from_secs_f64(secs)
-            }
+            Some(secs) if secs.is_finite() && secs > 0.0 => Duration::from_secs_f64(secs),
+            Some(secs) => return Err(invalid(format!("--lease-ttl {secs}: must be positive"))),
         };
         return Ok(ShardPolicy::Steal { worker, ttl });
     }
     if static_mode {
-        let (Some(i), Some(c)) = (value_of("--shard-index"), value_of("--shard-count")) else {
-            return Err(bad("--shard-index and --shard-count must be given together".into()));
+        let (Some(index), Some(count)) =
+            (args.get::<usize>("--shard-index")?, args.get::<usize>("--shard-count")?)
+        else {
+            return Err(invalid("--shard-index and --shard-count must be given together"));
         };
-        let index: usize =
-            i.parse().map_err(|_| bad(format!("--shard-index {i}: not an index")))?;
-        let count: usize = c.parse().map_err(|_| bad(format!("--shard-count {c}: not a count")))?;
         if count == 0 {
-            return Err(bad("--shard-count 0: need at least one shard".into()));
+            return Err(invalid("--shard-count 0: need at least one shard"));
         }
         if index >= count {
-            return Err(bad(format!(
+            return Err(invalid(format!(
                 "--shard-index {index}: out of range for --shard-count {count}"
             )));
         }
@@ -375,20 +340,11 @@ pub fn shard_from_args(args: &[String]) -> Result<ShardPolicy, WcmsError> {
     Ok(ShardPolicy::Off)
 }
 
-/// [`parse_figure_args`] over the process arguments.
-///
-/// # Errors
-///
-/// Same conditions as [`parse_figure_args`].
-pub fn figure_args_from_env(figure: &str) -> Result<FigureArgs, WcmsError> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    parse_figure_args(figure, &args)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::checkpoint::{CellResult, LoadOutcome};
+    use std::io::ErrorKind;
 
     fn strs(xs: &[&str]) -> Vec<String> {
         xs.iter().map(|s| (*s).to_string()).collect()
@@ -401,6 +357,7 @@ mod tests {
             parse_figure_args("figX", &strs(&["--checkpoint-dir", dir.to_str().unwrap()])).unwrap();
         assert_eq!(a.opts.sweep.max_doublings, SweepConfig::standard().max_doublings);
         assert_eq!(a.backend(), BackendKind::Sim);
+        assert_eq!(a.opts.algorithm, AlgorithmKind::Pairwise, "default is the paper's sort");
         assert_eq!(a.opts.jobs, 1);
         assert!(!a.markdown);
         assert!(a.opts.resilience.timeout.is_none());
@@ -421,25 +378,12 @@ mod tests {
     }
 
     #[test]
-    fn backend_flag_parses() {
-        let a = parse_figure_args("figX", &strs(&["--no-checkpoint", "--backend", "analytic"]))
-            .unwrap();
+    fn sweep_flags_parse() {
+        let argv = ["--no-checkpoint", "--backend", "analytic", "--algorithm", "multiway"];
+        let a = parse_figure_args("figX", &strs(&[&argv[..], &["--jobs", "4"]].concat())).unwrap();
         assert_eq!(a.backend(), BackendKind::Analytic);
-        let err =
-            parse_figure_args("figX", &strs(&["--no-checkpoint", "--backend", "gpu"])).unwrap_err();
-        assert!(err.to_string().contains("unknown backend"), "{err}");
-    }
-
-    #[test]
-    fn algorithm_flag_parses() {
-        let a = parse_figure_args("figX", &strs(&["--no-checkpoint"])).unwrap();
-        assert_eq!(a.opts.algorithm, AlgorithmKind::Pairwise, "default is the paper's sort");
-        let a = parse_figure_args("figX", &strs(&["--no-checkpoint", "--algorithm", "multiway"]))
-            .unwrap();
         assert_eq!(a.opts.algorithm, AlgorithmKind::Multiway);
-        let err = parse_figure_args("figX", &strs(&["--no-checkpoint", "--algorithm", "bitonic"]))
-            .unwrap_err();
-        assert!(err.to_string().contains("unknown algorithm"), "{err}");
+        assert_eq!(a.opts.jobs, 4);
     }
 
     /// A checkpoint written under one algorithm refuses to resume under
@@ -471,18 +415,6 @@ mod tests {
             "expected an algorithm mismatch, got {err}"
         );
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn jobs_flag_parses_and_rejects_zero() {
-        let a = parse_figure_args("figX", &strs(&["--no-checkpoint", "--jobs", "4"])).unwrap();
-        assert_eq!(a.opts.jobs, 4);
-        for bad_args in [&["--no-checkpoint", "--jobs", "0"][..], &["--no-checkpoint", "--jobs"]] {
-            let err = parse_figure_args("figX", &strs(bad_args)).unwrap_err();
-            assert!(err.to_string().contains("--jobs"), "{err}");
-        }
-        assert_eq!(jobs_from_args(&strs(&["--jobs", "8"])).unwrap(), 8);
-        assert_eq!(jobs_from_args(&strs(&[])).unwrap(), 1);
     }
 
     #[test]
@@ -531,14 +463,34 @@ mod tests {
         assert!(err.to_string().contains("--trace-parent"), "{err}");
     }
 
+    /// Bad flags of every kind are typed errors, before any work runs.
     #[test]
-    fn bad_timeout_is_a_typed_error() {
-        let err = parse_figure_args("figX", &strs(&["--no-checkpoint", "--timeout", "soon"]))
-            .unwrap_err();
-        assert!(err.to_string().contains("--timeout"), "{err}");
-        let err =
-            parse_figure_args("figX", &strs(&["--no-checkpoint", "--timeout", "-1"])).unwrap_err();
-        assert!(err.to_string().contains("positive"), "{err}");
+    fn bad_flags_are_typed_errors() {
+        let adhoc: &[&[Flag]] = &[ADHOC_FLAGS, SWEEP_FLAGS];
+        let merge: &[&[Flag]] = &[MERGE_FLAGS, SIZE_FLAGS, SWEEP_FLAGS, FIGURE_FLAGS];
+        for (tables, argv, needle) in [
+            (FIGURE_TABLES, &["--backend", "gpu"][..], "--backend gpu: unknown backend"),
+            (FIGURE_TABLES, &["--algorithm", "bitonic"], "unknown algorithm 'bitonic'"),
+            (FIGURE_TABLES, &["--timeout", "soon"], "--timeout soon"),
+            (FIGURE_TABLES, &["--timeout", "-1"], "positive"),
+            (FIGURE_TABLES, &["--timeout", "inf"], "finite"),
+            (FIGURE_TABLES, &["--jobs", "0"], "--jobs 0"),
+            (FIGURE_TABLES, &["--jobs"], "--jobs: missing value"),
+            (FIGURE_TABLES, &["--jobs=4"], "'--jobs=4'"),
+            (FIGURE_TABLES, &["--quik"], "'--quik'"),
+            (FIGURE_TABLES, &["--quick", "stray"], "'stray'"),
+            (FIGURE_TABLES, &["--quick", "--full"], "mutually exclusive"),
+            (FIGURE_TABLES, &["--standard", "--full"], "mutually exclusive"),
+            (adhoc, &["--steal"], "'--steal'"),
+            (merge, &["--figure", "fig4", "--bogus"], "'--bogus'"),
+        ] {
+            let argv = strs(argv);
+            let err = Args::parse("figX", tables, &argv)
+                .and_then(|a| figure_args("figX", &a))
+                .unwrap_err();
+            assert!(matches!(&err, WcmsError::Io(e) if e.kind() == ErrorKind::InvalidInput));
+            assert!(err.to_string().contains(needle), "{argv:?}: {err}");
+        }
     }
 
     #[test]

@@ -7,22 +7,21 @@
 //! (like `--backend`) lands in exactly one place and every figure
 //! reports it the same way.
 //!
-//! A binary describes its output as one or more [`FigurePanel`]s — a
-//! heading, a [`SweepReport`], and the projections to print — and hands
-//! a builder closure to [`figure_binary_main`]. Data rows go to stdout;
+//! A figure's output is one or more [`FigurePanel`]s — a heading, a
+//! [`SweepReport`], and the projections to print — registered in
+//! [`build_figure_panels`]; a figure binary's whole `main` is
+//! [`figure_binary_main`]. Data rows go to stdout;
 //! all commentary (headings, paper quotes, slowdown statistics, gap
 //! counts) goes to stderr as `#`-prefixed lines, exactly as before.
 
 use std::process::ExitCode;
 
+use wcms_error::cli::{self, Args};
 use wcms_error::WcmsError;
 use wcms_mergesort::{AlgorithmKind, BackendKind};
 
 use crate::checkpoint::sanitize;
-use crate::cliargs::{
-    algorithm_from_args, backend_from_args, figure_args_from_env, jobs_from_args, shard_from_args,
-    FigureArgs,
-};
+use crate::cliargs::{figure_args, shard_from_args, FIGURE_TABLES};
 use crate::experiment::Measurement;
 use crate::resilient::SweepReport;
 use crate::series::Series;
@@ -195,10 +194,9 @@ pub fn build_figure_panels(
             slowdown: false,
             rank_agreement: true,
         }]),
-        other => Err(WcmsError::Io(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            format!("unknown figure {other:?} (expected fig4, fig5 or fig6)"),
-        ))),
+        other => {
+            Err(cli::invalid(format!("unknown figure {other:?} (expected fig4, fig5 or fig6)")))
+        }
     }
 }
 
@@ -226,15 +224,10 @@ pub fn rank_agreement_lines(series: &[Series]) -> Vec<String> {
         .collect()
 }
 
-/// Parsed arguments shared by the ad-hoc study binaries (`esweep`,
-/// `compare_sorts`, `ablation`, …): the `--quick` switch plus the
-/// `--backend`/`--algorithm`/`--jobs` surface every sweep speaks, and
-/// the raw argv for binary-specific flags. Before this type each binary
-/// repeated the same parse/dispatch/print boilerplate; now a new shared
-/// flag lands in exactly one place.
+/// `--quick` and the [`crate::cliargs::SWEEP_FLAGS`] as every sweeping
+/// binary reads them: the ad-hoc studies' whole shared surface.
 #[derive(Debug, Clone)]
 pub struct AdhocArgs {
-    argv: Vec<String>,
     /// `--quick`: smaller grids for CI / smoke runs.
     pub quick: bool,
     /// `--backend <sim|analytic|reference>`.
@@ -243,40 +236,31 @@ pub struct AdhocArgs {
     pub algorithm: AlgorithmKind,
     /// `--jobs <n>` worker threads.
     pub jobs: usize,
-    /// `--shard-index/--shard-count`: static division of the row set
-    /// among independent processes. The ad-hoc tables have no
-    /// checkpoint store, so the lease-based modes (`--steal`,
-    /// `--replay`) are rejected here — only static sharding applies.
+    /// `--shard-index/--shard-count` (and, for checkpointed sweeps,
+    /// `--steal`/`--replay`): division of the work among processes.
     pub shard: ShardPolicy,
 }
 
 impl AdhocArgs {
-    /// Parse an argument list (without the program name).
+    /// Read the shared surface from parsed flags.
     ///
     /// # Errors
     ///
     /// Returns the underlying parse error for an unknown backend or
-    /// algorithm name, or a bad worker count.
-    pub fn parse(argv: Vec<String>) -> Result<Self, WcmsError> {
-        let quick = argv.iter().any(|a| a == "--quick");
-        let backend = backend_from_args(&argv)?;
-        let algorithm = algorithm_from_args(&argv)?;
-        let jobs = jobs_from_args(&argv)?;
-        let shard = shard_from_args(&argv)?;
-        if matches!(shard, ShardPolicy::Steal { .. } | ShardPolicy::Replay) {
-            return Err(WcmsError::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "--steal/--replay need a checkpointed sweep; the ad-hoc tables only support \
-                 --shard-index/--shard-count",
-            )));
+    /// algorithm name, a bad worker count, or any [`shard_from_args`]
+    /// rejection.
+    pub fn from_args(args: &Args) -> Result<Self, WcmsError> {
+        let jobs = args.get_or("--jobs", 1)?;
+        if jobs == 0 {
+            return Err(cli::invalid("--jobs 0: need at least one worker"));
         }
-        Ok(Self { argv, quick, backend, algorithm, jobs, shard })
-    }
-
-    /// Is `flag` present in the raw argument list?
-    #[must_use]
-    pub fn has_flag(&self, flag: &str) -> bool {
-        self.argv.iter().any(|a| a == flag)
+        Ok(Self {
+            quick: args.flag("--quick"),
+            backend: args.get_or("--backend", BackendKind::default())?,
+            algorithm: args.get_or("--algorithm", AlgorithmKind::default())?,
+            jobs,
+            shard: shard_from_args(args)?,
+        })
     }
 
     /// Compute one printable row per item on `--jobs` workers and print
@@ -308,88 +292,51 @@ impl AdhocArgs {
     }
 }
 
-/// The whole `main` of an ad-hoc study binary: parse the shared CLI,
-/// run the study, map any error to `EXIT_FAILURE` with the binary name
-/// attached.
-pub fn adhoc_binary_main(
-    name: &str,
-    run: impl FnOnce(&AdhocArgs) -> Result<(), WcmsError>,
-) -> ExitCode {
-    let result = AdhocArgs::parse(std::env::args().skip(1).collect()).and_then(|args| run(&args));
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("{name}: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 /// The whole `main` of a figure binary: parse the shared CLI, build the
-/// panels, render them, map any error to `EXIT_FAILURE` with the figure
-/// name attached.
-pub fn figure_binary_main(
-    figure: &str,
-    build: impl FnOnce(&FigureArgs) -> Result<Vec<FigurePanel>, WcmsError>,
-) -> ExitCode {
-    let args = match figure_args_from_env(figure) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("{figure}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let panels = match build(&args) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{figure}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let partial = args.opts.shard.partial_output();
-    for panel in &panels {
-        let (data, comments) = panel.render(args.backend(), args.markdown);
-        eprint!("{comments}");
-        // Pairwise keeps the historical stderr byte for byte; only a
-        // non-default algorithm announces itself.
-        if args.opts.algorithm != AlgorithmKind::Pairwise {
-            eprintln!("# algorithm: {}", args.opts.algorithm);
-        }
-        // The structured run summary: one greppable line per sweep,
-        // rebuilt from the metrics registry by the supervisor
-        // (`SweepStats::from_registry`), so it can never drift from a
-        // `--metrics` dump of the same run.
-        eprintln!("{}", panel.report.stats.summary_line(figure));
-        // A shard holds only its slice of the grid: its CSV would be
-        // partial and silently misleading, so data rows are suppressed
-        // — the `merge` binary (or a `--replay` run) renders the full,
-        // byte-identical CSV from the joined checkpoint store.
-        if !partial {
-            print!("{data}");
-        }
-    }
-    if partial {
-        if let (Some(worker), Some(store)) =
-            (args.opts.shard.worker_label(), &args.opts.resilience.checkpoint)
-        {
-            // Export this shard's counters next to its cells, so the
-            // merge step can absorb them into one unified summary.
-            let name = format!("shard-metrics-{}.prom", sanitize(&worker));
-            if let Err(e) = store.write_aux(&name, &args.obs().metrics.prometheus_text()) {
-                eprintln!("{figure}: writing shard metrics: {e}");
-                return ExitCode::FAILURE;
+/// figure's panels, render them, map any error to `EXIT_FAILURE` with
+/// the figure name attached.
+pub fn figure_binary_main(figure: &str) -> ExitCode {
+    cli::main(figure, FIGURE_TABLES, |argv| {
+        let args = figure_args(figure, argv)?;
+        let panels = build_figure_panels(figure, &args.opts)?;
+        let partial = args.opts.shard.partial_output();
+        for panel in &panels {
+            let (data, comments) = panel.render(args.backend(), args.markdown);
+            eprint!("{comments}");
+            // Pairwise keeps the historical stderr byte for byte; only a
+            // non-default algorithm announces itself.
+            if args.opts.algorithm != AlgorithmKind::Pairwise {
+                eprintln!("# algorithm: {}", args.opts.algorithm);
+            }
+            // The structured run summary: one greppable line per sweep,
+            // rebuilt from the metrics registry by the supervisor
+            // (`SweepStats::from_registry`), so it can never drift from a
+            // `--metrics` dump of the same run.
+            eprintln!("{}", panel.report.stats.summary_line(figure));
+            // A shard holds only its slice of the grid: its CSV would be
+            // partial and silently misleading, so data rows are suppressed
+            // — the `merge` binary (or a `--replay` run) renders the full,
+            // byte-identical CSV from the joined checkpoint store.
+            if !partial {
+                print!("{data}");
             }
         }
-        eprintln!(
-            "# shard: data rows suppressed; run `merge --figure {figure}` (or re-run with \
-             --replay) against the shared checkpoint dir for the full CSV"
-        );
-    }
-    if let Err(e) = args.export_observability() {
-        eprintln!("{figure}: writing observability outputs: {e}");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+        if partial {
+            if let (Some(worker), Some(store)) =
+                (args.opts.shard.worker_label(), &args.opts.resilience.checkpoint)
+            {
+                // Export this shard's counters next to its cells, so the
+                // merge step can absorb them into one unified summary.
+                let name = format!("shard-metrics-{}.prom", sanitize(&worker));
+                store.write_aux(&name, &args.obs().metrics.prometheus_text())?;
+            }
+            eprintln!(
+                "# shard: data rows suppressed; run `merge --figure {figure}` (or re-run with \
+                 --replay) against the shared checkpoint dir for the full CSV"
+            );
+        }
+        args.export_observability()
+    })
 }
 
 #[cfg(test)]
@@ -489,32 +436,28 @@ mod tests {
 
     #[test]
     fn adhoc_args_parse_the_shared_surface() {
-        let strs = |xs: &[&str]| xs.iter().map(|s| (*s).to_string()).collect::<Vec<_>>();
-        let args = AdhocArgs::parse(strs(&[
-            "--quick",
-            "--backend",
-            "analytic",
-            "--algorithm",
-            "multiway",
-            "--jobs",
-            "3",
-            "--rtx",
-        ]))
-        .unwrap();
+        let tables: &[&[cli::Flag]] = &[crate::cliargs::ADHOC_FLAGS, crate::cliargs::SWEEP_FLAGS];
+        let parse = |xs: &[&str]| {
+            let argv: Vec<String> = xs.iter().map(|s| (*s).to_string()).collect();
+            Args::parse("adhoc", tables, &argv).and_then(|a| AdhocArgs::from_args(&a))
+        };
+        let args =
+            parse(&["--quick", "--backend", "analytic", "--algorithm", "multiway", "--jobs", "3"])
+                .unwrap();
         assert!(args.quick);
         assert_eq!(args.backend, BackendKind::Analytic);
         assert_eq!(args.algorithm, AlgorithmKind::Multiway);
         assert_eq!(args.jobs, 3);
-        assert!(args.has_flag("--rtx"));
-        assert!(!args.has_flag("--markdown"));
 
-        let defaults = AdhocArgs::parse(vec![]).unwrap();
+        let defaults = parse(&[]).unwrap();
         assert!(!defaults.quick);
         assert_eq!(defaults.backend, BackendKind::Sim);
         assert_eq!(defaults.algorithm, AlgorithmKind::Pairwise);
         assert_eq!(defaults.jobs, 1);
 
-        assert!(AdhocArgs::parse(strs(&["--algorithm", "quantum"])).is_err());
+        for bad in [&["--algorithm", "quantum"][..], &["--replay"], &["--markdown"]] {
+            assert!(parse(bad).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

@@ -15,6 +15,7 @@
 #![forbid(unsafe_code)]
 
 pub mod cancel;
+pub mod cli;
 #[cfg(feature = "model-check")]
 pub mod mc;
 

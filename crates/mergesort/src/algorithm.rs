@@ -132,9 +132,8 @@ impl std::str::FromStr for AlgorithmKind {
         match s {
             "pairwise" => Ok(AlgorithmKind::Pairwise),
             "multiway" => Ok(AlgorithmKind::Multiway),
-            other => Err(WcmsError::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!("unknown algorithm '{other}' (expected pairwise or multiway)"),
+            other => Err(wcms_error::cli::invalid(format!(
+                "unknown algorithm '{other}' (expected pairwise or multiway)"
             ))),
         }
     }

@@ -316,9 +316,8 @@ impl std::str::FromStr for BackendKind {
             "sim" => Ok(BackendKind::Sim),
             "analytic" => Ok(BackendKind::Analytic),
             "reference" => Ok(BackendKind::Reference),
-            other => Err(WcmsError::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!("unknown backend '{other}' (expected sim, analytic or reference)"),
+            other => Err(wcms_error::cli::invalid(format!(
+                "unknown backend '{other}' (expected sim, analytic or reference)"
             ))),
         }
     }

@@ -13,82 +13,71 @@
 //! Scrape mode: `--scrape` asks the daemon for its metrics frame and
 //! prints the Prometheus text rendering to stdout.
 //!
-//! Usage: `wcms-load --addr <host:port> [--rps <r>] [--duration-s <s>]
-//!   [--connections <n>] [--distinct <k>] [--w <w>] [--e <e>] [--b <b>]
-//!   [--n <len>] [--deadline-ms <ms>] [--seed <s>] [--out <path>]
-//!   [--probe <json>] [--scrape]`
+//! Run with `--help` for the flags.
 
-use std::net::{SocketAddr, ToSocketAddrs};
+use std::net::ToSocketAddrs;
 use std::process::ExitCode;
 use std::time::Duration;
 
+use wcms_error::cli::{self, invalid, Args, Flag};
 use wcms_error::WcmsError;
 use wcms_obs::MetricsRegistry;
 use wcms_serve::load::{run_load, scrape_metrics, Client, LoadOptions};
 use wcms_serve::wire::Tuning;
 
+const LOAD_FLAGS: &[Flag] = &[
+    Flag::value("--addr", "host:port", "the daemon to drive (required)"),
+    Flag::value("--rps", "r", "offered arrival rate, jobs/s"),
+    Flag::value("--duration-s", "s", "how long to offer load (default 5)"),
+    Flag::value("--connections", "n", "concurrent connections"),
+    Flag::value("--distinct", "k", "distinct request keys cycled through"),
+    Flag::value("--w", "w", "warp width of every request"),
+    Flag::value("--e", "e", "elements per thread of every request"),
+    Flag::value("--b", "b", "threads per block of every request"),
+    Flag::value("--n", "len", "input length (default 2bE)"),
+    Flag::value("--deadline-ms", "ms", "per-call socket deadline (default 10000)"),
+    Flag::value("--seed", "s", "seed domain of this run's cold keys"),
+    Flag::value("--out", "path", "also write the report there"),
+    Flag::value("--probe", "json", "send this one request, print the raw reply"),
+    Flag::switch("--scrape", "print the daemon's Prometheus metrics"),
+];
+
 fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("wcms-load: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    cli::main("wcms-load", &[LOAD_FLAGS], run)
 }
 
-fn bad(msg: String) -> WcmsError {
-    WcmsError::Io(std::io::Error::new(std::io::ErrorKind::InvalidInput, msg))
-}
+fn run(args: &Args) -> Result<(), WcmsError> {
+    let spelled = args.required("--addr")?;
+    let addr = spelled.to_socket_addrs()?.next();
+    let addr = addr.ok_or_else(|| invalid(format!("--addr {spelled} resolves to nothing")))?;
+    let deadline = Duration::from_millis(args.get_or("--deadline-ms", 10_000)?);
 
-fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, WcmsError> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) => {
-            args.get(i + 1).cloned().map(Some).ok_or_else(|| bad(format!("{flag} needs a value")))
-        }
-    }
-}
-
-fn parse_or<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> Result<T, WcmsError> {
-    flag_value(args, flag)?
-        .map_or(Ok(default), |v| v.parse().map_err(|_| bad(format!("bad {flag}: {v}"))))
-}
-
-fn resolve(addr: &str) -> Result<SocketAddr, WcmsError> {
-    addr.to_socket_addrs()?.next().ok_or_else(|| bad(format!("--addr {addr} resolves to nothing")))
-}
-
-fn run() -> Result<(), WcmsError> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let addr =
-        resolve(&flag_value(&args, "--addr")?.ok_or_else(|| bad("--addr is required".into()))?)?;
-    let deadline = Duration::from_millis(parse_or(&args, "--deadline-ms", 10_000u64)?);
-
-    if let Some(request) = flag_value(&args, "--probe")? {
+    if let Some(request) = args.value("--probe") {
         let mut client = Client::connect(addr, deadline)?;
-        println!("{}", client.call_text(&request)?);
+        println!("{}", client.call_text(request)?);
         return Ok(());
     }
 
-    if args.iter().any(|a| a == "--scrape") {
+    if args.flag("--scrape") {
         print!("{}", scrape_metrics(addr, deadline)?);
         return Ok(());
     }
 
     let defaults = LoadOptions::default();
-    let w = parse_or(&args, "--w", defaults.tuning.w)?;
-    let e = parse_or(&args, "--e", defaults.tuning.e)?;
-    let b = parse_or(&args, "--b", defaults.tuning.b)?;
+    let secs = args.get_or("--duration-s", 5.0)?;
+    let w = args.get_or("--w", defaults.tuning.w)?;
+    let e = args.get_or("--e", defaults.tuning.e)?;
+    let b = args.get_or("--b", defaults.tuning.b)?;
     let opts = LoadOptions {
-        rate_rps: parse_or(&args, "--rps", defaults.rate_rps)?,
-        duration: Duration::from_secs_f64(parse_or(&args, "--duration-s", 5.0f64)?),
-        connections: parse_or(&args, "--connections", defaults.connections)?,
-        distinct: parse_or(&args, "--distinct", defaults.distinct)?,
+        rate_rps: args.get_or("--rps", defaults.rate_rps)?,
+        duration: Duration::try_from_secs_f64(secs)
+            .map_err(|e| invalid(format!("--duration-s {secs}: {e}")))?,
+        connections: args.get_or("--connections", defaults.connections)?,
+        distinct: args.get_or("--distinct", defaults.distinct)?,
         tuning: Tuning { w, e, b },
-        n: parse_or(&args, "--n", b * e * 2)?,
+        n: args.get_or("--n", b * e * 2)?,
         call_deadline: deadline,
-        run_seed: parse_or(&args, "--seed", defaults.run_seed)?,
+        run_seed: args.get_or("--seed", defaults.run_seed)?,
     };
 
     let metrics = MetricsRegistry::new();
@@ -107,7 +96,7 @@ fn run() -> Result<(), WcmsError> {
         report.warm_ms,
         report.cache_speedup,
     );
-    if let Some(path) = flag_value(&args, "--out")? {
+    if let Some(path) = args.value("--out") {
         std::fs::write(path, format!("{json}\n"))?;
     }
     Ok(())

@@ -8,14 +8,9 @@
 //! `status` request (a crash-only process has no exit hook to flush a
 //! file from).
 //!
-//! Usage: `wcms-serve [--addr <host:port>] [--workers <n>]
-//!   [--conn-workers <n>] [--queue-cap <n>] [--conn-backlog <n>]
-//!   [--cache-dir <dir>] [--journal-dir <dir>] [--max-budget-ms <ms>]
-//!   [--read-deadline-ms <ms>] [--write-deadline-ms <ms>]
-//!   [--est-job-ms <ms>] [--trace <journal.jsonl>]`
-//!
-//! `--addr 127.0.0.1:0` binds an ephemeral port; the daemon prints
-//! `listening on <resolved addr>` on stdout so scripts can scrape it.
+//! Run with `--help` for the flags. `--addr 127.0.0.1:0` binds an
+//! ephemeral port; the daemon prints `listening on <resolved addr>` on
+//! stdout so scripts can scrape it.
 //!
 //! `--trace` appends span records to a JSONL journal *incrementally*
 //! (a flusher thread drains the ring every 200 ms) — a crash-only
@@ -28,74 +23,55 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
+use wcms_error::cli::{self, Args, Flag};
 use wcms_error::{CancelToken, WcmsError};
 use wcms_obs::{journal_jsonl, Clock, Obs, RingCollector};
 use wcms_serve::server::{serve, ServerConfig};
 
+const SERVE_FLAGS: &[Flag] = &[
+    Flag::value("--addr", "host:port", "listen address (default 127.0.0.1:7433)"),
+    Flag::value("--workers", "n", "compute worker threads"),
+    Flag::value("--conn-workers", "n", "connection worker threads"),
+    Flag::value("--queue-cap", "n", "admission queue capacity (jobs)"),
+    Flag::value("--conn-backlog", "n", "accepted connections awaiting a worker"),
+    Flag::value("--cache-dir", "dir", "result cache (default state/serve/cache)"),
+    Flag::value("--journal-dir", "dir", "job journal (default state/serve/journal)"),
+    Flag::value("--max-budget-ms", "ms", "ceiling (and default) of a request's compute budget"),
+    Flag::value("--read-deadline-ms", "ms", "per-connection socket read deadline"),
+    Flag::value("--write-deadline-ms", "ms", "per-connection socket write deadline"),
+    Flag::value("--est-job-ms", "ms", "per-job cost behind the overloaded retry-after hint"),
+    Flag::value("--trace", "journal.jsonl", "append span records to a JSONL journal"),
+];
+
 fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("wcms-serve: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    cli::main("wcms-serve", &[SERVE_FLAGS], run)
 }
 
-fn bad(msg: String) -> WcmsError {
-    WcmsError::Io(std::io::Error::new(std::io::ErrorKind::InvalidInput, msg))
-}
-
-fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, WcmsError> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) => {
-            args.get(i + 1).cloned().map(Some).ok_or_else(|| bad(format!("{flag} needs a value")))
-        }
-    }
-}
-
-fn parse_or<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> Result<T, WcmsError> {
-    flag_value(args, flag)?
-        .map_or(Ok(default), |v| v.parse().map_err(|_| bad(format!("bad {flag}: {v}"))))
-}
-
-fn run() -> Result<(), WcmsError> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let addr = flag_value(&args, "--addr")?.unwrap_or_else(|| "127.0.0.1:7433".into());
-    let cache_dir = flag_value(&args, "--cache-dir")?.unwrap_or_else(|| "state/serve/cache".into());
-    let journal_dir =
-        flag_value(&args, "--journal-dir")?.unwrap_or_else(|| "state/serve/journal".into());
+fn run(args: &Args) -> Result<(), WcmsError> {
+    let addr = args.value("--addr").unwrap_or("127.0.0.1:7433");
+    let cache_dir = args.value("--cache-dir").unwrap_or("state/serve/cache");
+    let journal_dir = args.value("--journal-dir").unwrap_or("state/serve/journal");
 
     let mut cfg = ServerConfig::new(cache_dir, journal_dir);
-    cfg.workers = parse_or(&args, "--workers", cfg.workers)?;
-    cfg.conn_workers = parse_or(&args, "--conn-workers", cfg.conn_workers)?;
-    cfg.queue_cap = parse_or(&args, "--queue-cap", cfg.queue_cap)?;
-    cfg.conn_backlog = parse_or(&args, "--conn-backlog", cfg.conn_backlog)?;
-    cfg.est_job_ms = parse_or(&args, "--est-job-ms", cfg.est_job_ms)?;
-    cfg.max_budget = Duration::from_millis(parse_or(
-        &args,
-        "--max-budget-ms",
-        cfg.max_budget.as_millis() as u64,
-    )?);
-    cfg.read_deadline = Duration::from_millis(parse_or(
-        &args,
-        "--read-deadline-ms",
-        cfg.read_deadline.as_millis() as u64,
-    )?);
-    cfg.write_deadline = Duration::from_millis(parse_or(
-        &args,
-        "--write-deadline-ms",
-        cfg.write_deadline.as_millis() as u64,
-    )?);
+    cfg.workers = args.get_or("--workers", cfg.workers)?;
+    cfg.conn_workers = args.get_or("--conn-workers", cfg.conn_workers)?;
+    cfg.queue_cap = args.get_or("--queue-cap", cfg.queue_cap)?;
+    cfg.conn_backlog = args.get_or("--conn-backlog", cfg.conn_backlog)?;
+    cfg.est_job_ms = args.get_or("--est-job-ms", cfg.est_job_ms)?;
+    let ms = |flag: &str, default: Duration| -> Result<Duration, WcmsError> {
+        Ok(Duration::from_millis(args.get_or(flag, default.as_millis() as u64)?))
+    };
+    cfg.max_budget = ms("--max-budget-ms", cfg.max_budget)?;
+    cfg.read_deadline = ms("--read-deadline-ms", cfg.read_deadline)?;
+    cfg.write_deadline = ms("--write-deadline-ms", cfg.write_deadline)?;
 
-    if let Some(path) = flag_value(&args, "--trace")? {
+    if let Some(path) = args.value("--trace") {
         let ring = Arc::new(RingCollector::new());
         cfg.obs = Obs::with_recorder(ring.clone(), Clock::wall());
         // The epoch record is what lets `wcms-trace join` put this
         // journal on the same timeline as the workers'.
         cfg.obs.emit_epoch("serve");
-        let mut file = std::fs::File::create(&path)?;
+        let mut file = std::fs::File::create(path)?;
         let obs = cfg.obs.clone();
         std::thread::spawn(move || loop {
             std::thread::sleep(Duration::from_millis(200));
@@ -113,9 +89,23 @@ fn run() -> Result<(), WcmsError> {
         });
     }
 
-    let listener = TcpListener::bind(&addr)?;
+    let listener = TcpListener::bind(addr)?;
     println!("listening on {}", listener.local_addr()?);
     // A daemon has no clean stop: the token below never fires, and the
     // journal + cache carry everything a SIGKILL interrupts.
     serve(&listener, cfg, &CancelToken::never())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bad_flags_are_typed_errors() {
+        for (argv, needle) in [(["--workrs", "2"], "'--workrs'"), (["--workers", "two"], "two")] {
+            let parsed = Args::parse("wcms-serve", &[SERVE_FLAGS], &argv.map(String::from));
+            let err = parsed.and_then(|a| a.get::<usize>("--workers")).unwrap_err();
+            assert!(err.to_string().contains(needle), "{argv:?}: {err}");
+        }
+    }
 }

@@ -166,9 +166,10 @@ pub struct LoadReport {
     pub errors: u64,
     /// Latency over completed calls.
     pub latency: LatencySummary,
-    /// Cold-compute latency of one uncached request, milliseconds.
+    /// Median cold-compute latency of uncached requests, milliseconds.
     pub cold_ms: f64,
-    /// Cache-hit latency of the same request re-asked, milliseconds.
+    /// Median cache-hit latency of the same requests re-asked,
+    /// milliseconds.
     pub warm_ms: f64,
     /// `cold_ms / warm_ms` — the acceptance gate wants ≥ 10.
     pub cache_speedup: f64,
@@ -202,14 +203,16 @@ impl LoadReport {
 }
 
 fn load_request(opts: &LoadOptions, i: u64) -> Request {
+    // Seeds cycle over a bounded working set, domain-separated per run
+    // so lap one is cold and every later lap is cache-resident.
+    seeded_request(opts, (opts.run_seed << 16) | (i % opts.distinct.max(1)))
+}
+
+fn seeded_request(opts: &LoadOptions, seed: u64) -> Request {
     Request::Generate {
         tuning: opts.tuning,
         n: opts.n,
-        // Seeds cycle over a bounded working set, domain-separated per
-        // run so lap one is cold and every later lap is cache-resident.
-        family: WorkloadSpec::WorstCaseFamily {
-            seed: (opts.run_seed << 16) | (i % opts.distinct.max(1)),
-        },
+        family: WorkloadSpec::WorstCaseFamily { seed },
         include_data: false,
         // Untraced on purpose: load documents stay byte-identical to
         // pre-trace clients, so the bench exercises the absent-context
@@ -234,8 +237,9 @@ pub fn scrape_metrics(addr: SocketAddr, deadline: Duration) -> Result<String, Wc
     }
 }
 
-/// Probe the cache: ask one never-before-seen request (cold compute),
-/// then re-ask it (warm hit). Returns `(cold_ms, warm_ms)`.
+/// Probe the cache: for each of five never-before-seen requests, time
+/// the cold compute and then the warm hit of the same request. Returns
+/// the medians `(cold_ms, warm_ms)` — one pair is too noisy to gate on.
 ///
 /// # Errors
 ///
@@ -248,31 +252,32 @@ pub fn probe_cache_speedup(
     clock: &Clock,
 ) -> Result<(f64, f64), WcmsError> {
     let mut client = Client::connect(addr, opts.call_deadline)?;
-    let probe = Request::Generate {
-        tuning: opts.tuning,
-        n: opts.n,
-        family: WorkloadSpec::WorstCaseFamily { seed: (opts.run_seed << 16) | 0xFFFF },
-        include_data: false,
-        trace: None,
-    };
-    let timed = |client: &mut Client| -> Result<(f64, String), WcmsError> {
-        let t0 = clock.now_us();
-        let payload = client.call_text(&probe.encode())?;
-        Ok((clock.elapsed_s(t0), payload))
-    };
-    let (cold_s, cold_payload) = timed(&mut client)?;
-    let (warm_s, warm_payload) = timed(&mut client)?;
-    if cold_payload != warm_payload {
-        return Err(WcmsError::WireMalformed {
-            reason: "cache hit returned different bytes than the cold compute".into(),
-        });
+    let (mut cold, mut warm) = (Vec::new(), Vec::new());
+    for k in 0..5 {
+        // Seeds the load phase's working set never reaches.
+        let probe = seeded_request(opts, (opts.run_seed << 16) | (0xFFFF - k)).encode();
+        let mut timed = || -> Result<(f64, String), WcmsError> {
+            let t0 = clock.now_us();
+            let payload = client.call_text(&probe)?;
+            Ok((clock.elapsed_s(t0), payload))
+        };
+        let (cold_s, cold_payload) = timed()?;
+        let (warm_s, warm_payload) = timed()?;
+        if cold_payload != warm_payload {
+            return Err(WcmsError::WireMalformed {
+                reason: "cache hit returned different bytes than the cold compute".into(),
+            });
+        }
+        if !cold_payload.contains("\"ok\":true") {
+            return Err(WcmsError::WireMalformed {
+                reason: format!("cache probe was not answered: {cold_payload}"),
+            });
+        }
+        cold.push(cold_s);
+        warm.push(warm_s);
     }
-    if !cold_payload.contains("\"ok\":true") {
-        return Err(WcmsError::WireMalformed {
-            reason: format!("cache probe was not answered: {cold_payload}"),
-        });
-    }
-    Ok((cold_s * 1e3, warm_s * 1e3))
+    let median_ms = |samples: &mut Vec<f64>| LatencySummary::from_samples(samples).p50_ms;
+    Ok((median_ms(&mut cold), median_ms(&mut warm)))
 }
 
 /// Drive the daemon open-loop and report.
@@ -312,8 +317,9 @@ pub fn run_load(
                         break;
                     }
                     // Open loop: wait for the timetable slot; if we are
-                    // late, send immediately — the lateness lands in
-                    // the measured latency, never in the offered rate.
+                    // late, send immediately — latency is timed from the
+                    // slot, so the lateness lands in the measured latency,
+                    // never in the offered rate.
                     let due_us = t_start + i * interval_us;
                     let now = clock.now_us();
                     if due_us > now {
@@ -327,7 +333,6 @@ pub fn run_load(
                         continue;
                     };
                     sent.fetch_add(1, Ordering::Relaxed);
-                    let t0 = clock.now_us();
                     match c.call(&load_request(opts, i)) {
                         Ok(Response::Overloaded { .. }) => {
                             overloaded.fetch_add(1, Ordering::Relaxed);
@@ -336,7 +341,7 @@ pub fn run_load(
                             errors.fetch_add(1, Ordering::Relaxed);
                         }
                         Ok(_) => {
-                            let dt = clock.elapsed_s(t0);
+                            let dt = clock.elapsed_s(due_us);
                             histogram.observe(dt);
                             if let Ok(mut lane) = lane.lock() {
                                 lane.push(dt);
@@ -423,5 +428,40 @@ mod tests {
         let keys: std::collections::BTreeSet<String> =
             (0..32).map(|i| load_request(&opts, i).canonical_key().unwrap()).collect();
         assert_eq!(keys.len(), 4);
+    }
+
+    /// A stalled reply delays every request queued behind it, and the
+    /// open-loop report must show that: latency runs from each request's
+    /// timetable slot, not from when the late worker got to send it.
+    #[test]
+    fn stalled_replies_land_in_the_latency_of_everything_queued_behind() {
+        use std::net::TcpListener;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let reply = Response::Generate { n: 0, fingerprint: 0, keys: None }.encode();
+        // The fail-fast probe, the one load connection, the cache probe.
+        let server = std::thread::spawn(move || {
+            let mut first = true;
+            for _ in 0..3 {
+                let (mut conn, _) = listener.accept().unwrap();
+                while let Ok(Some(_)) = read_frame(&mut conn, MAX_REQUEST_FRAME) {
+                    if std::mem::take(&mut first) {
+                        std::thread::sleep(Duration::from_millis(300));
+                    }
+                    write_frame(&mut conn, reply.as_bytes(), MAX_RESPONSE_FRAME).unwrap();
+                }
+            }
+        });
+        // 64 rps for 0.3125 s: 20 requests, all due inside the stall.
+        let opts = LoadOptions {
+            rate_rps: 64.0,
+            duration: Duration::from_secs_f64(0.3125),
+            connections: 1,
+            ..LoadOptions::default()
+        };
+        let report = run_load(addr, &opts, &MetricsRegistry::new()).unwrap();
+        server.join().unwrap();
+        assert_eq!(report.ok, 20, "{report:?}");
+        assert!(report.latency.p50_ms > 100.0, "the stall is missing from p50: {report:?}");
     }
 }

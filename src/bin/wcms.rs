@@ -21,13 +21,13 @@
 //! typed [`WcmsError`] printed to stderr with a non-zero exit code;
 //! nothing panics on user input.
 
-use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
 
 use wcms::adversary::evaluate::access_matrix;
 use wcms::adversary::{construct, evaluate, theorem_aligned_count, WorstCaseBuilder};
+use wcms::error::cli::{self, Args, Flag};
 use wcms::gpu::{CostModel, DeviceSpec, Occupancy};
 use wcms::mergesort::assess_input;
 use wcms::mergesort::{sort_on, SimBackend, SortParams, SortSpec};
@@ -38,82 +38,69 @@ use wcms::workloads::dataset::{
 use wcms::workloads::random::random_permutation;
 use wcms::WcmsError;
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(key) = args[i].strip_prefix("--") {
-            let value = args.get(i + 1).cloned().unwrap_or_default();
-            flags.insert(key.to_string(), value);
-            i += 2;
-        } else {
-            i += 1;
-        }
+const W: Flag = Flag::value("--w", "w", "warp width / bank count (default 32)");
+const E: Flag = Flag::value("--e", "e", "elements per thread (default 15)");
+const B: Flag = Flag::value("--b", "b", "threads per block (default 512)");
+const N: Flag = Flag::value("--n", "n", "number of keys");
+const OUT: Flag = Flag::value("--out", "file", "file to write");
+const FILE: Flag = Flag::value("--file", "file", "key file to read");
+const INPUT: Flag = Flag::value("--input", "worst|random|sorted|reverse|heavy", "input family");
+const FAMILY: Flag =
+    Flag::value("--family", "sorted|reverse|random", "key stream (default random)");
+const SEED: Flag = Flag::value("--seed", "s", "random-stream seed (default 42)");
+const CHUNK: Flag = Flag::value("--chunk", "keys", "keys per chunk");
+const SRC: Flag = Flag::value("--input", "file", "dataset to sort");
+const DEST: Flag = Flag::value("--output", "file", "sorted dataset to write");
+const RUN_KEYS: Flag = Flag::value("--run-keys", "k", "keys per in-memory run (default 8388608)");
+
+/// Each subcommand: name, one line of help, flag table.
+const COMMANDS: &[(&str, &str, &[Flag])] = &[
+    ("generate", "build a worst-case permutation", &[W, E, B, N, OUT]),
+    ("evaluate", "analyse the per-warp construction, print its access matrix", &[W, E]),
+    ("sort", "run the simulated sort", &[W, E, B, N, INPUT]),
+    ("assess", "classify a key file's conflict severity", &[W, E, B, FILE]),
+    ("occupancy", "print the occupancy table for all devices", &[E, B]),
+    ("genstream", "stream a v3 dataset under bounded memory", &[FAMILY, N, OUT, SEED, CHUNK]),
+    ("verify", "stream-check a dataset: checksums, fingerprint, sortedness", &[FILE]),
+    ("sortfile", "external merge sort, v3 to v3", &[SRC, DEST, RUN_KEYS]),
+];
+
+fn usage() {
+    eprintln!("usage: wcms <command> [flags]; `wcms <command> --help` lists a command's flags");
+    for (name, help, _) in COMMANDS {
+        eprintln!("  {name:<10} {help}");
     }
-    flags
-}
-
-fn flag_usize(flags: &HashMap<String, String>, key: &str, default: usize) -> usize {
-    flags.get(key).and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: wcms <generate|evaluate|sort|assess|occupancy|genstream|verify|sortfile> \
-         [--w 32] [--e 15] [--b 512] [--n N]"
-    );
-    eprintln!("  generate   build a worst-case permutation (--out FILE to save)");
-    eprintln!("  evaluate   analyse the per-warp construction and print its access matrix");
-    eprintln!("  sort       run the simulated sort (--input worst|random|sorted|reverse|heavy)");
-    eprintln!("  assess     read a key file (--file) and classify its conflict severity");
-    eprintln!("  occupancy  print the occupancy table for all devices");
-    eprintln!("  genstream  stream a v3 dataset under bounded memory");
-    eprintln!("             (--family sorted|reverse|random --n N --out FILE [--seed S])");
-    eprintln!("  verify     stream-check a dataset file (--file FILE): checksums,");
-    eprintln!("             multiset fingerprint, sortedness");
-    eprintln!("  sortfile   external merge sort, v3 to v3 (--input A --output B [--run-keys K])");
-    ExitCode::FAILURE
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else { return usage() };
-    let flags = parse_flags(&args[1..]);
-    let w = flag_usize(&flags, "w", 32);
-    let e = flag_usize(&flags, "e", 15);
-    let b = flag_usize(&flags, "b", 512);
-
-    let run = match cmd.as_str() {
-        "generate" => generate(&flags, w, e, b),
-        "evaluate" => evaluate_cmd(w, e),
-        "sort" => sort_cmd(&flags, w, e, b),
-        "assess" => assess_cmd(&flags, w, e, b),
-        "occupancy" => occupancy_cmd(e, b),
-        "genstream" => genstream_cmd(&flags),
-        "verify" => verify_cmd(&flags),
-        "sortfile" => sortfile_cmd(&flags),
-        _ => return usage(),
+    let cmd = std::env::args().nth(1).unwrap_or_default();
+    let Some((_, _, flags)) = COMMANDS.iter().find(|(name, _, _)| *name == cmd) else {
+        usage();
+        return ExitCode::from(u8::from(!matches!(cmd.as_str(), "--help" | "-h")));
     };
-    match run {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(err) => {
-            eprintln!("wcms {cmd}: {err}");
-            ExitCode::FAILURE
+    cli::main(&format!("wcms {cmd}"), &[flags], |args| {
+        let w = args.get_or("--w", 32)?;
+        let e = args.get_or("--e", 15)?;
+        let b = args.get_or("--b", 512)?;
+        match cmd.as_str() {
+            "generate" => generate(args, w, e, b),
+            "evaluate" => evaluate_cmd(w, e),
+            "sort" => sort_cmd(args, w, e, b),
+            "assess" => assess_cmd(args, w, e, b),
+            "occupancy" => occupancy_cmd(e, b),
+            "genstream" => genstream_cmd(args),
+            "verify" => verify_cmd(args),
+            _ => sortfile_cmd(args),
         }
-    }
+    })
 }
 
-fn generate(
-    flags: &HashMap<String, String>,
-    w: usize,
-    e: usize,
-    b: usize,
-) -> Result<(), WcmsError> {
+fn generate(args: &Args, w: usize, e: usize, b: usize) -> Result<(), WcmsError> {
     let builder = WorstCaseBuilder::new(w, e, b)?;
-    let n = flag_usize(flags, "n", builder.block_elems() * 64);
+    let n = args.get_or("--n", builder.block_elems() * 64)?;
     let n = if builder.valid_len(n) { n } else { builder.next_valid_len(n) };
     let keys = builder.build(n)?;
-    match flags.get("out") {
+    match args.value("--out") {
         Some(path) if !path.is_empty() => {
             let file = File::create(path)?;
             write_keys(BufWriter::new(file), &keys)?;
@@ -142,22 +129,17 @@ fn evaluate_cmd(w: usize, e: usize) -> Result<(), WcmsError> {
     Ok(())
 }
 
-fn sort_cmd(
-    flags: &HashMap<String, String>,
-    w: usize,
-    e: usize,
-    b: usize,
-) -> Result<(), WcmsError> {
+fn sort_cmd(args: &Args, w: usize, e: usize, b: usize) -> Result<(), WcmsError> {
     let params = SortParams::new(w, e, b)?;
     let n = {
-        let raw = flag_usize(flags, "n", params.block_elems() * 16);
+        let raw = args.get_or("--n", params.block_elems() * 16)?;
         if params.valid_len(raw) {
             raw
         } else {
             params.next_valid_len(raw)
         }
     };
-    let input = match flags.get("input").map(String::as_str).unwrap_or("worst") {
+    let input = match args.value("--input").unwrap_or("worst") {
         "worst" => WorstCaseBuilder::new(w, e, b)?.build(n)?,
         "random" => random_permutation(n, 42),
         "sorted" => (0..n as u32).collect(),
@@ -207,18 +189,8 @@ fn sort_cmd(
     Ok(())
 }
 
-fn assess_cmd(
-    flags: &HashMap<String, String>,
-    w: usize,
-    e: usize,
-    b: usize,
-) -> Result<(), WcmsError> {
-    let Some(path) = flags.get("file").filter(|p| !p.is_empty()) else {
-        return Err(WcmsError::DatasetCorrupt {
-            reason: "assess needs --file FILE (see `wcms generate --out`)".into(),
-        });
-    };
-    let keys = read_keys(File::open(path)?)?;
+fn assess_cmd(args: &Args, w: usize, e: usize, b: usize) -> Result<(), WcmsError> {
+    let keys = read_keys(File::open(args.required("--file")?)?)?;
     let params = SortParams::new(w, e, b)?;
     let a = assess_input(&keys, &params)?;
     println!("{} keys under w={w}, E={e}, b={b}:", keys.len());
@@ -251,17 +223,15 @@ fn mix64(x: u64) -> u64 {
 /// `wcms genstream`: write an N-key version-3 dataset one chunk at a
 /// time. Peak memory is one chunk (default 4 MiB of keys) regardless
 /// of N, so 10⁸–10⁹ keys generate under a small, flat RSS.
-fn genstream_cmd(flags: &HashMap<String, String>) -> Result<(), WcmsError> {
-    let n = flag_usize(flags, "n", 0) as u64;
+fn genstream_cmd(args: &Args) -> Result<(), WcmsError> {
+    let n: u64 = args.get_or("--n", 0)?;
     if n == 0 {
         return Err(dataset_err("genstream needs --n N (number of keys, > 0)"));
     }
-    let Some(out) = flags.get("out").filter(|p| !p.is_empty()) else {
-        return Err(dataset_err("genstream needs --out FILE"));
-    };
-    let family = flags.get("family").map(String::as_str).unwrap_or("random");
-    let seed = flag_usize(flags, "seed", 42) as u64;
-    let chunk = flag_usize(flags, "chunk", DEFAULT_CHUNK_KEYS);
+    let out = args.required("--out")?;
+    let family = args.value("--family").unwrap_or("random");
+    let seed: u64 = args.get_or("--seed", 42)?;
+    let chunk = args.get_or("--chunk", DEFAULT_CHUNK_KEYS)?;
     if family == "sorted" || family == "reverse" {
         // Keys are u32: a monotone ramp longer than the key space
         // would have to repeat, which is no longer "sorted distinct".
@@ -306,10 +276,8 @@ fn genstream_cmd(flags: &HashMap<String, String>) -> Result<(), WcmsError> {
 /// index, and chunk checksum is validated by the reader — and report
 /// the count, multiset fingerprint, and whether the keys are sorted.
 /// Bounded memory: one chunk at a time.
-fn verify_cmd(flags: &HashMap<String, String>) -> Result<(), WcmsError> {
-    let Some(path) = flags.get("file").filter(|p| !p.is_empty()) else {
-        return Err(dataset_err("verify needs --file FILE"));
-    };
+fn verify_cmd(args: &Args) -> Result<(), WcmsError> {
+    let path = args.required("--file")?;
     let mut reader = DatasetReader::open(BufReader::new(File::open(path)?))?;
     let declared = reader.count();
     let mut print = MultisetFingerprint::new();
@@ -339,14 +307,9 @@ fn verify_cmd(flags: &HashMap<String, String>) -> Result<(), WcmsError> {
 
 /// `wcms sortfile`: external merge sort of a v3 dataset into a new v3
 /// file, with the input/output multiset fingerprint proved equal.
-fn sortfile_cmd(flags: &HashMap<String, String>) -> Result<(), WcmsError> {
-    let Some(input) = flags.get("input").filter(|p| !p.is_empty()) else {
-        return Err(dataset_err("sortfile needs --input FILE"));
-    };
-    let Some(output) = flags.get("output").filter(|p| !p.is_empty()) else {
-        return Err(dataset_err("sortfile needs --output FILE"));
-    };
-    let run_keys = flag_usize(flags, "run-keys", 8 << 20);
+fn sortfile_cmd(args: &Args) -> Result<(), WcmsError> {
+    let (input, output) = (args.required("--input")?, args.required("--output")?);
+    let run_keys = args.get_or("--run-keys", 8 << 20)?;
     let report =
         sort_dataset_file(std::path::Path::new(input), std::path::Path::new(output), run_keys)?;
     println!(
@@ -371,4 +334,23 @@ fn occupancy_cmd(e: usize, b: usize) -> Result<(), WcmsError> {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bad_flags_are_typed_errors() {
+        for (cmd, argv, needle) in [
+            ("sort", ["--n", "abc"], "--n abc"),
+            ("sort", ["--file", "keys"], "'--file'"),
+            ("evaluate", ["--b", "64"], "'--b'"),
+        ] {
+            let (_, _, flags) = COMMANDS.iter().find(|(name, _, _)| *name == cmd).unwrap();
+            let parsed = Args::parse(cmd, &[flags], &argv.map(String::from));
+            let err = parsed.and_then(|a| a.get::<usize>("--n")).unwrap_err();
+            assert!(err.to_string().contains(needle), "{cmd} {argv:?}: {err}");
+        }
+    }
 }
