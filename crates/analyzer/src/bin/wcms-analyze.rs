@@ -4,7 +4,6 @@
 //! pass is clean, 1 on any finding, 2 on usage errors. CI runs
 //! `wcms-analyze --all` as a required job.
 
-use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -17,6 +16,7 @@ use wcms_analyzer::shard_model::{check_shard_mutations, check_shard_protocol};
 use wcms_analyzer::supervisor_model::check_supervisor_protocol;
 use wcms_error::cli::{invalid, Args, Flag};
 use wcms_error::WcmsError;
+use wcms_obs::json::quote;
 
 struct Options {
     args: Args,
@@ -66,24 +66,6 @@ fn parse_args() -> Result<Options, WcmsError> {
     Ok(o)
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 fn main() -> ExitCode {
     let o = match parse_args() {
         Ok(o) => o,
@@ -120,7 +102,7 @@ fn main() -> ExitCode {
                                 "{{\"e\":{},\"case\":{},\"aligned\":{},\"closed_form\":{},\
                                  \"min_cycles\":{},\"holds\":{}}}",
                                 v.e,
-                                json_escape(v.case.name()),
+                                quote(v.case.name()),
                                 v.aligned,
                                 v.closed_form,
                                 v.min_cycles,
@@ -136,7 +118,7 @@ fn main() -> ExitCode {
                                  \"closed_form\":{},\"per_warp\":{:?},\"holds\":{}}}",
                                 v.e,
                                 v.k,
-                                json_escape(v.label),
+                                quote(v.label),
                                 v.stride_regular,
                                 v.closed_form.map_or("null".into(), |c| c.to_string()),
                                 v.per_warp_aligned,
@@ -214,7 +196,7 @@ fn main() -> ExitCode {
                     format!(
                         "{{\"scenario\":{},\"schedules\":{},\"states\":{},\"max_depth\":{},\
                          \"violations\":{},\"truncated\":{}}}",
-                        json_escape(r.name),
+                        quote(r.name),
                         r.report.schedules,
                         r.report.states,
                         r.report.max_depth_seen,
@@ -279,7 +261,7 @@ fn main() -> ExitCode {
                     format!(
                         "{{\"scenario\":{},\"schedules\":{},\"states\":{},\"max_depth\":{},\
                          \"violations\":{},\"truncated\":{}}}",
-                        json_escape(r.name),
+                        quote(r.name),
                         r.report.schedules,
                         r.report.states,
                         r.report.max_depth_seen,
@@ -293,7 +275,7 @@ fn main() -> ExitCode {
                 .map(|r| {
                     format!(
                         "{{\"script\":{},\"crash_points\":{},\"cases\":{},\"violations\":{}}}",
-                        json_escape(r.script),
+                        quote(r.script),
                         r.crash_points,
                         r.cases,
                         r.violations.len()
@@ -307,13 +289,13 @@ fn main() -> ExitCode {
                         format!(
                             "{{\"schedule\":{:?},\"message\":{}}}",
                             v.schedule,
-                            json_escape(&v.message)
+                            quote(&v.message)
                         )
                     });
                     format!(
                         "{{\"name\":{},\"kind\":\"interleaving\",\"schedules\":{},\
                          \"caught\":{},\"replayed\":{},\"counterexample\":{ce}}}",
-                        json_escape(m.variant.name()),
+                        quote(m.variant.name()),
                         m.schedules,
                         m.caught,
                         m.replayed
@@ -324,16 +306,16 @@ fn main() -> ExitCode {
                 let ce = m.counterexample.as_ref().map_or("null".to_string(), |v| {
                     format!(
                         "{{\"script\":{},\"crash_after\":{},\"choice\":{:?},\"message\":{}}}",
-                        json_escape(v.script),
+                        quote(v.script),
                         v.crash_after,
                         v.choice,
-                        json_escape(&v.message)
+                        quote(&v.message)
                     )
                 });
                 format!(
                     "{{\"name\":{},\"kind\":\"crash\",\"cases\":{},\
                      \"caught\":{},\"replayed\":{},\"counterexample\":{ce}}}",
-                    json_escape(m.variant.name()),
+                    quote(m.variant.name()),
                     m.cases,
                     m.caught,
                     m.replayed
@@ -437,7 +419,7 @@ fn main() -> ExitCode {
                             format!(
                                 "{{\"label\":{},\"n\":{},\"rounds\":{},\"predicted_cycles\":{},\
                                  \"holds\":{}}}",
-                                json_escape(&c.label),
+                                quote(&c.label),
                                 c.n,
                                 c.rounds,
                                 c.predicted_cycles,

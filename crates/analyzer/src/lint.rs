@@ -5,7 +5,7 @@
 //! (preserving byte offsets and newlines), tracks `#[cfg(test)] mod`
 //! regions by brace depth, and then matches *whole identifiers* — so
 //! `.unwrap_or(..)` is never confused with `.unwrap()` the way a naive
-//! regex would. Eight rules:
+//! regex would. Nine rules:
 //!
 //! * `panic-path` — `.unwrap()` / `.expect()` (and the `_err` duals) and
 //!   the `panic!` / `unreachable!` / `todo!` / `unimplemented!` macros
@@ -43,6 +43,12 @@
 //!   torn-commit window the `ModelFs` crash explorer demonstrates;
 //!   like the socket rule this is file-scoped (the satisfier may live
 //!   in a helper) and the first rename is flagged once per file.
+//! * `fsync-outside-record-layer` — `sync_all` / `sync_data` outside
+//!   tests and [`RECORD_LAYER_PATHS`]. Durable commits go through the
+//!   checkpoint record layer, whose plans the `ModelFs` crash explorer
+//!   proves; a hand-rolled temp → fsync → rename elsewhere is unproved
+//!   and drifts (the serve cache's shared temp name once failed 7 of 8
+//!   concurrent stores of one key).
 //! * `span-without-context` — a fleet-observed file (the serve crate's
 //!   library plus the scale-out [`PROTOCOL_PATHS`]) that opens spans
 //!   (`span!` or `.span(`) outside tests but never touches the trace
@@ -58,12 +64,13 @@
 //! allowlist row that outlives its finding is a lie about the codebase
 //! and rots into cover for a future regression — deleting it is the
 //! fix.
-//! Diagnostics render as text or machine-readable JSON (hand-rolled —
-//! the workspace has no JSON dependency).
+//! Diagnostics render as text or machine-readable JSON (strings quoted
+//! by `wcms_obs::json` — the workspace has no JSON dependency).
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use wcms_error::WcmsError;
+use wcms_obs::json::quote;
 
 /// The method names whose calls are panic paths.
 const PANIC_METHODS: [&str; 4] = ["unwrap", "expect", "unwrap_err", "expect_err"];
@@ -80,6 +87,13 @@ pub const PROTOCOL_PATHS: [&str; 5] = [
     "crates/bench/src/resilient.rs",
     "crates/bench/src/supervisor.rs",
 ];
+
+/// The files allowed to force data to disk (see
+/// `fsync-outside-record-layer` in the module docs): the record layer,
+/// whose one plan executor runs both the atomic-write and the
+/// lease-claim plans, and streamed dataset files.
+pub const RECORD_LAYER_PATHS: [&str; 2] =
+    ["crates/bench/src/checkpoint.rs", "crates/workloads/src/dataset.rs"];
 
 /// One lint hit.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -154,15 +168,15 @@ impl LintReport {
             let _ = write!(
                 s,
                 "{{\"rule\":{},\"path\":{},\"line\":{},\"col\":{},\"snippet\":{},\"allowed\":{}",
-                json_str(f.rule),
-                json_str(&f.path),
+                quote(f.rule),
+                quote(&f.path),
                 f.line,
                 f.col,
-                json_str(&f.snippet),
+                quote(&f.snippet),
                 f.allowed
             );
             if let Some(r) = &f.reason {
-                let _ = write!(s, ",\"reason\":{}", json_str(r));
+                let _ = write!(s, ",\"reason\":{}", quote(r));
             }
             s.push('}');
         }
@@ -171,39 +185,18 @@ impl LintReport {
             if i > 0 {
                 s.push(',');
             }
-            s.push_str(&json_str(e));
+            s.push_str(&quote(e));
         }
         s.push_str("],\"malformed_allowlist\":[");
         for (i, e) in self.malformed_allowlist.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
-            s.push_str(&json_str(e));
+            s.push_str(&quote(e));
         }
         s.push_str("]}");
         s
     }
-}
-
-/// JSON string literal with escaping.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Replace the contents of comments, string/char literals (including
@@ -574,6 +567,10 @@ pub fn lint_source(path: &str, src: &str, is_test_file: bool) -> Vec<Finding> {
                 && path_qualifier(&masked, i).as_deref() == Some("Instant")
             {
                 push("wall-clock-in-protocol", i, "Instant::now".to_string());
+            } else if matches!(ident, "sync_all" | "sync_data")
+                && !RECORD_LAYER_PATHS.contains(&path)
+            {
+                push("fsync-outside-record-layer", i, ident.to_string());
             } else if ident == "rename" && path_qualifier(&masked, i).as_deref() == Some("fs") {
                 if first_rename.is_none() {
                     first_rename = Some(i);
@@ -851,16 +848,39 @@ mod tests {
         assert_eq!(fs[0].snippet, "fs::rename");
 
         // Forcing data anywhere in the file satisfies the rule — the
-        // temp-file fsync lives a few lines above the rename.
+        // temp-file fsync lives a few lines above the rename. (Outside
+        // the record layer the fsync itself is a finding of its own.)
+        let renames = |src: &str| {
+            let fs = lint_source("a.rs", src, false);
+            fs.iter().filter(|f| f.rule == "rename-without-fsync").count()
+        };
         let synced = format!("fn s(f: &std::fs::File) {{ f.sync_all().ok(); }}\n{src}");
-        assert!(lint_source("a.rs", &synced, false).is_empty());
+        assert_eq!(renames(&synced), 0);
         let synced = format!("fn s(f: &std::fs::File) {{ f.sync_data().ok(); }}\n{src}");
-        assert!(lint_source("a.rs", &synced, false).is_empty());
+        assert_eq!(renames(&synced), 0);
 
         // Test files and #[cfg(test)] modules are exempt.
         assert!(lint_source("crates/bench/tests/t.rs", src, true).is_empty());
         let test_src = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
         assert!(lint_source("a.rs", &test_src, false).is_empty());
+    }
+
+    #[test]
+    fn fsync_is_confined_to_the_record_layer() {
+        let src = "fn w(f: &File) {\n    f.sync_all().ok();\n    File::sync_data(f).ok();\n}\n";
+        let fs = lint_source("crates/serve/src/cache.rs", src, false);
+        let hits: Vec<_> = fs.iter().map(|f| (f.rule, f.line, f.snippet.as_str())).collect();
+        let rule = "fsync-outside-record-layer";
+        assert_eq!(hits, vec![(rule, 2, "sync_all"), (rule, 3, "sync_data")], "{fs:?}");
+        // The record layer itself may force data.
+        for path in RECORD_LAYER_PATHS {
+            assert!(lint_source(path, src, false).is_empty(), "{path}");
+        }
+        // Comments, strings and test modules are exempt.
+        let quoted = "// f.sync_all()\nfn m() -> &'static str { \"sync_all\" }\n";
+        assert!(lint_source("crates/serve/src/cache.rs", quoted, false).is_empty());
+        let test_src = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
+        assert!(lint_source("crates/serve/src/cache.rs", &test_src, false).is_empty());
     }
 
     #[test]

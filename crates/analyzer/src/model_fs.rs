@@ -280,8 +280,8 @@ const CELL: &str = "cell";
 const LEASE: &str = "lease";
 
 /// Translate a protocol step plan into concrete filesystem operations
-/// (the same translation `run_claim_steps` / `write_atomic` perform),
-/// with a trailing `Ack`.
+/// (the same translation `checkpoint::run_plan` performs), with a
+/// trailing `Ack`.
 fn ops_from_plan(plan: &[CommitStep], framed: &[u8], link: bool) -> Vec<FsOp> {
     let dst = if link { LEASE } else { CELL };
     let mut ops: Vec<FsOp> = plan

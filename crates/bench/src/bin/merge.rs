@@ -20,6 +20,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use wcms_bench::checkpoint::write_atomic;
 use wcms_bench::cliargs::{figure_args, FIGURE_FLAGS, MERGE_FLAGS, SIZE_FLAGS, SWEEP_FLAGS};
 use wcms_bench::panel::build_figure_panels;
 use wcms_bench::resilient::SweepStats;
@@ -149,18 +150,9 @@ fn join_dir(target: &Path, src: &Path, report: &mut JoinReport) -> Result<(), Wc
                 )));
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                // Atomic import: temp + fsync + rename, like every
-                // store write — publishing a name whose data was never
-                // forced is exactly the torn-commit window the
-                // rename-without-fsync lint exists to close.
-                let tmp = target.join(format!("{name}.{}.tmp", std::process::id()));
-                {
-                    use std::io::Write as _;
-                    let mut f = fs::File::create(&tmp)?;
-                    f.write_all(&bytes)?;
-                    f.sync_all()?;
-                }
-                fs::rename(&tmp, &dest)?;
+                // Atomic import through the one record-layer write,
+                // like every store write.
+                write_atomic(&dest, &bytes)?;
                 if is_cell {
                     report.imported += 1;
                 }

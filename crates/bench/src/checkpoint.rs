@@ -22,19 +22,21 @@
 //!   different configuration fails with a typed error instead of
 //!   stitching stale cells into the new sweep.
 //!
-//! The JSON codec is hand-rolled and deliberately tiny: it covers
-//! exactly the [`CellResult`] and [`SweepFingerprint`] shapes, with
-//! `f64` round-tripping through Rust's shortest-representation
-//! formatting.
+//! This module is also the workspace's one **record layer**: every
+//! checksummed file (cells, manifests, leases, serve cache entries and
+//! job records, `merge` imports) commits through [`write_atomic`] and
+//! is set aside through [`move_aside`]. Payloads are one JSON line,
+//! read back with `wcms_obs::json`; `f64`s round-trip exactly.
 
 use std::fs;
-use std::io::Write as _;
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use wcms_dmm::stats::Summary;
 use wcms_error::WcmsError;
+use wcms_obs::json::{self, quote, Value};
 
 use crate::experiment::Measurement;
 
@@ -132,13 +134,13 @@ impl SweepFingerprint {
     fn encode(&self) -> String {
         format!(
             concat!(
-                "{{\"schema\":{},\"figure\":\"{}\",\"backend\":\"{}\",\"algorithm\":\"{}\",",
+                "{{\"schema\":{},\"figure\":{},\"backend\":{},\"algorithm\":{},",
                 "\"min_doublings\":{},\"max_doublings\":{},\"runs\":{},\"seed\":{}}}"
             ),
             SCHEMA_VERSION,
-            escape(&self.figure),
-            escape(&self.backend),
-            escape(&self.algorithm),
+            quote(&self.figure),
+            quote(&self.backend),
+            quote(&self.algorithm),
             self.min_doublings,
             self.max_doublings,
             self.runs,
@@ -147,19 +149,19 @@ impl SweepFingerprint {
     }
 
     fn decode(text: &str) -> Option<(u64, SweepFingerprint)> {
-        let v = parse_value(text)?;
-        let obj = v.as_object()?;
+        let v = json::parse(text).ok()?;
+        let doubling = |key| u32::try_from(v.get(key)?.as_u64()?).ok();
         Some((
-            obj.get_num("schema")? as u64,
+            v.get("schema")?.as_u64()?,
             SweepFingerprint {
-                figure: obj.get_str("figure")?.to_string(),
-                backend: obj.get_str("backend")?.to_string(),
+                figure: v.get("figure")?.as_str()?.to_string(),
+                backend: v.get("backend")?.as_str()?.to_string(),
                 // Pre-algorithm manifests could only have been pairwise.
-                algorithm: obj.get_str("algorithm").unwrap_or("pairwise").to_string(),
-                min_doublings: obj.get_num("min_doublings")? as u32,
-                max_doublings: obj.get_num("max_doublings")? as u32,
-                runs: obj.get_num("runs")? as u64,
-                seed: obj.get_num("seed")? as u64,
+                algorithm: v.get("algorithm").and_then(Value::as_str).unwrap_or("pairwise").into(),
+                min_doublings: doubling("min_doublings")?,
+                max_doublings: doubling("max_doublings")?,
+                runs: v.get("runs")?.as_u64()?,
+                seed: v.get("seed")?.as_u64()?,
             },
         ))
     }
@@ -203,8 +205,9 @@ pub struct CheckpointStore {
     dir: PathBuf,
     /// Files evicted from `quarantine/` since the last
     /// [`CheckpointStore::take_quarantine_evictions`]; shared across
-    /// clones so sweep workers report into one counter.
-    evicted: Arc<AtomicU64>,
+    /// clones so sweep workers (and the lease quarantine) report into
+    /// one counter.
+    pub(crate) evicted: Arc<AtomicU64>,
 }
 
 impl CheckpointStore {
@@ -274,7 +277,7 @@ impl CheckpointStore {
                 }),
             },
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                if store.cell_files()?.is_empty() {
+                if store.aux_names("cell-")?.is_empty() {
                     // Nothing to resume: behave like a fresh store.
                     store.write_manifest(fingerprint)?;
                     Ok(store)
@@ -292,7 +295,7 @@ impl CheckpointStore {
     }
 
     fn write_manifest(&self, fingerprint: &SweepFingerprint) -> Result<(), WcmsError> {
-        self.write_atomic(&self.dir.join("manifest.json"), &encode_file(&fingerprint.encode()))
+        write_atomic(&self.dir.join("manifest.json"), encode_file(&fingerprint.encode()))
     }
 
     /// Remove every checkpoint in the directory — cell files, manifest
@@ -328,27 +331,6 @@ impl CheckpointStore {
         self.dir.join(format!("cell-{}.json", sanitize(cell)))
     }
 
-    /// Every `cell-*.json` file currently in the store, in no
-    /// particular order — the unit a shard merge copies and counts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WcmsError::Io`] on filesystem failures.
-    pub fn cell_files(&self) -> Result<Vec<PathBuf>, WcmsError> {
-        let mut cells = Vec::new();
-        for entry in fs::read_dir(&self.dir)? {
-            let path = entry?.path();
-            let is_cell = path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("cell-") && n.ends_with(".json"));
-            if is_cell {
-                cells.push(path);
-            }
-        }
-        Ok(cells)
-    }
-
     /// Load a cell's checkpoint.
     ///
     /// A missing file is [`LoadOutcome::Absent`] (never measured). A
@@ -373,17 +355,11 @@ impl CheckpointStore {
         }
     }
 
-    /// Move a failed cell file into `quarantine/` (keeping its name;
-    /// a repeat offender overwrites its previous quarantined copy),
-    /// then prune the quarantine to its newest [`QUARANTINE_RETAIN`]
-    /// entries so repeated chaos cycles cannot fill the disk.
+    /// Move a failed cell file into the bounded `quarantine/`.
     fn quarantine(&self, path: &Path, reason: &str) -> LoadOutcome {
         let qdir = self.dir.join("quarantine");
-        let dest = qdir.join(path.file_name().unwrap_or_default());
-        let moved = fs::create_dir_all(&qdir).and_then(|()| fs::rename(path, &dest));
-        self.evicted.fetch_add(prune_dir(&qdir, QUARANTINE_RETAIN), Ordering::Relaxed);
-        match moved {
-            Ok(()) => LoadOutcome::Quarantined { to: Some(dest), reason: reason.to_string() },
+        match move_aside(path, &qdir, QUARANTINE_RETAIN, &self.evicted) {
+            Ok(dest) => LoadOutcome::Quarantined { to: Some(dest), reason: reason.to_string() },
             Err(e) => LoadOutcome::Quarantined {
                 to: None,
                 reason: format!("{reason}; quarantine move also failed: {e}"),
@@ -397,14 +373,6 @@ impl CheckpointStore {
         self.evicted.swap(0, Ordering::Relaxed)
     }
 
-    /// Fold externally-observed evictions (the lease quarantine) into
-    /// this store's eviction counter.
-    pub(crate) fn note_evictions(&self, n: u64) {
-        if n > 0 {
-            self.evicted.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
     /// Persist a cell's result atomically (temp file, fsync, rename),
     /// with the checksum footer.
     ///
@@ -412,7 +380,7 @@ impl CheckpointStore {
     ///
     /// Returns [`WcmsError::Io`] on filesystem failures.
     pub fn store(&self, cell: &str, result: &CellResult) -> Result<(), WcmsError> {
-        self.write_atomic(&self.cell_path(cell), &encode_file(&encode(result)))
+        write_atomic(&self.cell_path(cell), encode_file(&encode(result)))
     }
 
     /// Persist an auxiliary (non-cell) artifact — e.g. a per-shard
@@ -424,7 +392,7 @@ impl CheckpointStore {
     ///
     /// Returns [`WcmsError::Io`] on filesystem failures.
     pub fn write_aux(&self, name: &str, payload: &str) -> Result<(), WcmsError> {
-        self.write_atomic(&self.dir.join(name), &encode_file(payload))
+        write_atomic(&self.dir.join(name), encode_file(payload))
     }
 
     /// Load and verify an auxiliary artifact written by
@@ -443,7 +411,7 @@ impl CheckpointStore {
         })
     }
 
-    /// Names of auxiliary artifacts starting with `prefix`, sorted.
+    /// Names of the store's files starting with `prefix`, sorted.
     ///
     /// # Errors
     ///
@@ -461,31 +429,47 @@ impl CheckpointStore {
         names.sort();
         Ok(names)
     }
-
-    fn write_atomic(&self, path: &Path, content: &str) -> Result<(), WcmsError> {
-        write_atomic(path, content)
-    }
 }
 
-/// Atomic file write shared by cells, manifests, aux artifacts and
-/// lease temp files: unique temp name (stealing workers may write the
-/// same target concurrently), fsync, rename. The step order is not
-/// ad hoc — it executes [`crate::protocol::ATOMIC_WRITE_STEPS`], the
-/// same plan the `wcms-analyzer` crash-consistency explorer enumerates
-/// machine crashes through, and records each step on the conformance
-/// probe so a test can assert the two never drift.
-pub(crate) fn write_atomic(path: &Path, content: &str) -> Result<(), WcmsError> {
-    use crate::protocol::{self, CommitStep};
+/// The workspace's one atomic file write: it executes
+/// [`crate::protocol::ATOMIC_WRITE_STEPS`] (temp, fsync, rename), the
+/// plan the `ModelFs` crash explorer proves. The temp name is unique
+/// per call (pid plus a process-wide counter), so concurrent writers of
+/// one target — stealing workers, serve threads storing one cache key
+/// — never share a temp file.
+///
+/// # Errors
+///
+/// Returns [`WcmsError::Io`] on filesystem failures.
+pub fn write_atomic(path: &Path, content: impl AsRef<[u8]>) -> Result<(), WcmsError> {
+    static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
     let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("file");
-    let tmp = path.with_file_name(format!("{name}.{}.tmp", std::process::id()));
+    let seq = NEXT_TMP.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_file_name(format!("{name}.{}-{seq}.tmp", std::process::id()));
+    let plan = crate::protocol::ATOMIC_WRITE_STEPS;
+    Ok(run_plan("atomic-write", plan, &tmp, content.as_ref(), |tmp| fs::rename(tmp, path))??)
+}
+
+/// Execute a publish plan step by step, recording each step on the
+/// conformance probe. Returns the `publish(tmp)` result as is, so a
+/// lease claim can tell its `AlreadyExists` race from a failure.
+pub(crate) fn run_plan(
+    plan_name: &'static str,
+    plan: &[crate::protocol::CommitStep],
+    tmp: &Path,
+    content: &[u8],
+    publish: impl Fn(&Path) -> io::Result<()>,
+) -> Result<io::Result<()>, WcmsError> {
+    use crate::protocol::{probe, CommitStep};
     let mut file: Option<fs::File> = None;
-    for step in protocol::ATOMIC_WRITE_STEPS {
-        protocol::probe::executed("atomic-write", *step);
+    let mut published = Ok(());
+    for step in plan {
+        probe::executed(plan_name, *step);
         match step {
-            CommitStep::CreateTemp => file = Some(fs::File::create(&tmp)?),
+            CommitStep::CreateTemp => file = Some(fs::File::create(tmp)?),
             CommitStep::WritePayload => {
                 if let Some(f) = file.as_mut() {
-                    f.write_all(content.as_bytes())?;
+                    f.write_all(content)?;
                 }
             }
             CommitStep::SyncTemp => {
@@ -495,20 +479,64 @@ pub(crate) fn write_atomic(path: &Path, content: &str) -> Result<(), WcmsError> 
             }
             CommitStep::Publish => {
                 drop(file.take());
-                fs::rename(&tmp, path)?;
+                published = publish(tmp);
             }
             CommitStep::RemoveTemp => {
-                let _ = fs::remove_file(&tmp);
+                let _ = fs::remove_file(tmp);
             }
+        }
+    }
+    Ok(published)
+}
+
+/// Delete the `*.tmp` strays a crash mid-[`write_atomic`] left in
+/// `dir` — only where one process writes `dir` (serve cache, journal).
+///
+/// # Errors
+///
+/// Returns [`WcmsError::Io`] if `dir` cannot be listed.
+pub fn remove_temp_strays(dir: &Path) -> Result<(), WcmsError> {
+    for entry in fs::read_dir(dir)? {
+        let path = entry?.path();
+        if path.extension().is_some_and(|e| e == "tmp") && path.is_file() {
+            let _ = fs::remove_file(path);
         }
     }
     Ok(())
 }
 
+/// Move `path` into `dir` keeping its name (a repeat offender
+/// overwrites its old copy), then prune `dir` to its newest `retain`
+/// entries, adding evictions to `evicted` — the one way every
+/// quarantine (and journal tombstoning) sets a record aside.
+///
+/// # Errors
+///
+/// The I/O error of the move (the prune still runs).
+pub fn move_aside(
+    path: &Path,
+    dir: &Path,
+    retain: usize,
+    evicted: &AtomicU64,
+) -> io::Result<PathBuf> {
+    let dest = dir.join(path.file_name().unwrap_or_default());
+    let moved = fs::create_dir_all(dir).and_then(|()| fs::rename(path, &dest));
+    evicted.fetch_add(prune_dir(dir, retain), Ordering::Relaxed);
+    moved.map(|()| dest)
+}
+
+/// Delete `path` by renaming it to the unique scratch name `tomb` first
+/// (a lease steal): of several concurrent callers, one rename wins.
+pub(crate) fn rename_away(path: &Path, tomb: &Path) {
+    if fs::rename(path, tomb).is_ok() {
+        let _ = fs::remove_file(tomb);
+    }
+}
+
 /// Remove the oldest entries of `dir` until at most `keep` remain
 /// (ordered by modification time, name as tie-break); returns how many
 /// were evicted. Best-effort: races with concurrent pruners are benign.
-pub(crate) fn prune_dir(dir: &Path, keep: usize) -> u64 {
+fn prune_dir(dir: &Path, keep: usize) -> u64 {
     let Ok(entries) = fs::read_dir(dir) else { return 0 };
     let mut files: Vec<(std::time::SystemTime, PathBuf)> = entries
         .flatten()
@@ -595,22 +623,6 @@ pub fn decode_file(text: &str) -> Result<String, String> {
 
 // --- JSON codec -----------------------------------------------------------
 
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn encode_measurement(m: &Measurement) -> String {
     let s = &m.throughput_spread;
     format!(
@@ -640,40 +652,40 @@ fn encode_measurement(m: &Measurement) -> String {
 #[must_use]
 pub fn encode(result: &CellResult) -> String {
     match result {
-        CellResult::Done(m) => {
-            format!("{{\"status\":\"done\",{}}}", encode_measurement(m))
-        }
+        CellResult::Done(m) => format!("{{\"status\":\"done\",{}}}", encode_measurement(m)),
         CellResult::Demoted { m, on, attempts } => format!(
-            "{{\"status\":\"demoted\",\"on\":\"{}\",\"attempts\":{attempts},{}}}",
-            escape(on),
+            "{{\"status\":\"demoted\",\"on\":{},\"attempts\":{attempts},{}}}",
+            quote(on),
             encode_measurement(m)
         ),
         CellResult::Skipped { reason, attempts } => {
             format!(
-                "{{\"status\":\"skipped\",\"reason\":\"{}\",\"attempts\":{attempts}}}",
-                escape(reason)
+                "{{\"status\":\"skipped\",\"reason\":{},\"attempts\":{attempts}}}",
+                quote(reason)
             )
         }
     }
 }
 
-fn decode_measurement(obj: &[(String, Value)]) -> Option<Measurement> {
-    let spread = obj.field("spread")?.as_object()?;
+fn decode_measurement(v: &Value) -> Option<Measurement> {
+    let num = |v: &Value, key| v.get(key)?.as_f64();
+    let count = |v: &Value, key| usize::try_from(v.get(key)?.as_u64()?).ok();
+    let spread = v.get("spread")?;
     Some(Measurement {
-        n: obj.get_num("n")? as usize,
-        throughput: obj.get_num("throughput")?,
-        ms: obj.get_num("ms")?,
+        n: count(v, "n")?,
+        throughput: num(v, "throughput")?,
+        ms: num(v, "ms")?,
         throughput_spread: Summary {
-            n: spread.get_num("n")? as usize,
-            mean: spread.get_num("mean")?,
-            min: spread.get_num("min")?,
-            max: spread.get_num("max")?,
-            stddev: spread.get_num("stddev")?,
+            n: count(spread, "n")?,
+            mean: num(spread, "mean")?,
+            min: num(spread, "min")?,
+            max: num(spread, "max")?,
+            stddev: num(spread, "stddev")?,
         },
-        beta1: obj.get_num("beta1")?,
-        beta2: obj.get_num("beta2")?,
-        conflicts_per_element: obj.get_num("conflicts_per_element")?,
-        ms_per_element: obj.get_num("ms_per_element")?,
+        beta1: num(v, "beta1")?,
+        beta2: num(v, "beta2")?,
+        conflicts_per_element: num(v, "conflicts_per_element")?,
+        ms_per_element: num(v, "ms_per_element")?,
     })
 }
 
@@ -681,191 +693,20 @@ fn decode_measurement(obj: &[(String, Value)]) -> Option<Measurement> {
 /// malformed (the store then quarantines the file).
 #[must_use]
 pub fn decode(text: &str) -> Option<CellResult> {
-    let v = parse_value(text)?;
-    let obj = v.as_object()?;
-    match obj.get_str("status")? {
-        "done" => Some(CellResult::Done(decode_measurement(obj)?)),
+    let v = json::parse(text).ok()?;
+    let attempts = || usize::try_from(v.get("attempts")?.as_u64()?).ok();
+    match v.get("status")?.as_str()? {
+        "done" => Some(CellResult::Done(decode_measurement(&v)?)),
         "demoted" => Some(CellResult::Demoted {
-            m: decode_measurement(obj)?,
-            on: obj.get_str("on")?.to_string(),
-            attempts: obj.get_num("attempts")? as usize,
+            m: decode_measurement(&v)?,
+            on: v.get("on")?.as_str()?.to_string(),
+            attempts: attempts()?,
         }),
         "skipped" => Some(CellResult::Skipped {
-            reason: obj.get_str("reason")?.to_string(),
-            attempts: obj.get_num("attempts")? as usize,
+            reason: v.get("reason")?.as_str()?.to_string(),
+            attempts: attempts()?,
         }),
         _ => None,
-    }
-}
-
-/// Parse a complete JSON value, rejecting trailing garbage.
-pub(crate) fn parse_value(text: &str) -> Option<Value> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return None; // trailing garbage: treat as torn
-    }
-    Some(v)
-}
-
-pub(crate) enum Value {
-    Num(f64),
-    Str(String),
-    Obj(Vec<(String, Value)>),
-}
-
-impl Value {
-    pub(crate) fn as_object(&self) -> Option<&Vec<(String, Value)>> {
-        match self {
-            Value::Obj(fields) => Some(fields),
-            _ => None,
-        }
-    }
-}
-
-pub(crate) trait ObjExt {
-    fn field(&self, key: &str) -> Option<&Value>;
-    fn get_num(&self, key: &str) -> Option<f64>;
-    fn get_str(&self, key: &str) -> Option<&str>;
-}
-
-impl ObjExt for [(String, Value)] {
-    fn field(&self, key: &str) -> Option<&Value> {
-        self.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-    fn get_num(&self, key: &str) -> Option<f64> {
-        match self.field(key)? {
-            Value::Num(x) => Some(*x),
-            _ => None,
-        }
-    }
-    fn get_str(&self, key: &str) -> Option<&str> {
-        match self.field(key)? {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_whitespace) {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, c: u8) -> Option<()> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&c) {
-            self.pos += 1;
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn value(&mut self) -> Option<Value> {
-        self.skip_ws();
-        match self.bytes.get(self.pos)? {
-            b'{' => self.object(),
-            b'"' => Some(Value::Str(self.string()?)),
-            _ => self.number(),
-        }
-    }
-
-    fn object(&mut self) -> Option<Value> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Some(Value::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.eat(b':')?;
-            fields.push((key, self.value()?));
-            self.skip_ws();
-            match self.bytes.get(self.pos)? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Some(Value::Obj(fields));
-                }
-                _ => return None,
-            }
-        }
-    }
-
-    fn string(&mut self) -> Option<String> {
-        if self.bytes.get(self.pos) != Some(&b'"') {
-            return None;
-        }
-        self.pos += 1;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos)? {
-                b'"' => {
-                    self.pos += 1;
-                    return Some(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos)? {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'u' => {
-                            let hex = self.bytes.get(self.pos + 1..self.pos + 5)?;
-                            let code =
-                                u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                            out.push(char::from_u32(code)?);
-                            self.pos += 4;
-                        }
-                        _ => return None,
-                    }
-                    self.pos += 1;
-                }
-                &b => {
-                    // Multi-byte UTF-8 sequences pass through byte-wise.
-                    let start = self.pos;
-                    let len = utf8_len(b);
-                    let chunk = self.bytes.get(start..start + len)?;
-                    out.push_str(std::str::from_utf8(chunk).ok()?);
-                    self.pos += len;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Option<Value> {
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|&b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos]).ok()?.parse().ok().map(Value::Num)
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0xF0..=0xF7 => 4,
-        0xE0..=0xEF => 3,
-        0xC0..=0xDF => 2,
-        _ => 1,
     }
 }
 

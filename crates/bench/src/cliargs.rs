@@ -280,9 +280,13 @@ pub fn figure_args(figure: &str, args: &Args) -> Result<FigureArgs, WcmsError> {
 /// # Errors
 ///
 /// Rejects mixed modes, a lone `--shard-index`/`--shard-count`, an
-/// out-of-range index, `--steal` without a worker id, a non-positive
-/// lease TTL, and `--worker-id`/`--lease-ttl` outside `--steal`.
+/// out-of-range index, `--steal` without a worker id, a lease TTL that
+/// is not positive or exceeds 1e9 s, and `--worker-id`/`--lease-ttl`
+/// outside `--steal`.
 pub fn shard_from_args(args: &Args) -> Result<ShardPolicy, WcmsError> {
+    /// Longest `--lease-ttl`: keeps every lease deadline (epoch ms)
+    /// inside the 2^53 range lease files store exactly.
+    const MAX_LEASE_TTL_S: f64 = 1e9;
     let steal = args.flag("--steal");
     let replay = args.flag("--replay");
     let static_mode = args.flag("--shard-index") || args.flag("--shard-count");
@@ -316,8 +320,12 @@ pub fn shard_from_args(args: &Args) -> Result<ShardPolicy, WcmsError> {
         }
         let ttl = match args.get::<f64>("--lease-ttl")? {
             None => DEFAULT_LEASE_TTL,
-            Some(secs) if secs.is_finite() && secs > 0.0 => Duration::from_secs_f64(secs),
-            Some(secs) => return Err(invalid(format!("--lease-ttl {secs}: must be positive"))),
+            Some(secs) if secs > 0.0 && secs <= MAX_LEASE_TTL_S => Duration::from_secs_f64(secs),
+            Some(secs) => {
+                return Err(invalid(format!(
+                    "--lease-ttl {secs}: must be positive and at most {MAX_LEASE_TTL_S:e} s"
+                )))
+            }
         };
         return Ok(ShardPolicy::Steal { worker, ttl });
     }
@@ -482,6 +490,8 @@ mod tests {
             (FIGURE_TABLES, &["--quick", "--full"], "mutually exclusive"),
             (FIGURE_TABLES, &["--standard", "--full"], "mutually exclusive"),
             (adhoc, &["--steal"], "'--steal'"),
+            (FIGURE_TABLES, &["--steal", "--worker-id", "w", "--lease-ttl", "1e12"], "at most"),
+            (FIGURE_TABLES, &["--steal", "--worker-id", "w", "--lease-ttl", "0"], "positive"),
             (merge, &["--figure", "fig4", "--bogus"], "'--bogus'"),
         ] {
             let argv = strs(argv);

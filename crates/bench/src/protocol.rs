@@ -32,14 +32,17 @@
 
 use std::time::Duration;
 
-use crate::checkpoint::{decode_file, parse_value, ObjExt};
+use wcms_obs::json::{self, quote, Value};
+
+use crate::checkpoint::decode_file;
 
 /// The payload of a lease file.
 ///
-/// `pid` and `deadline_ms` are stored as JSON numbers and are exact up
-/// to 2^53 (the codec parses through f64) — far above any real pid or
-/// epoch-millisecond value. The fingerprint is a hex string and covers
-/// the full u64 range.
+/// `pid` and `deadline_ms` are stored as JSON numbers and read back
+/// exactly up to 2^53 (`wcms_obs::json` parses through f64) — far above
+/// any real pid or epoch-millisecond value; a larger value decodes as
+/// corrupt. The fingerprint is a hex string and covers the full u64
+/// range.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LeaseInfo {
     /// Pid of the claiming process (diagnostic only — expiry and
@@ -65,13 +68,12 @@ impl LeaseInfo {
     /// checksum footer via [`crate::checkpoint::encode_file`]).
     #[must_use]
     pub fn encode(&self) -> String {
-        let trace = self.trace.as_ref().map_or_else(String::new, |t| {
-            format!(",\"trace\":\"{}\"", crate::checkpoint::escape(t))
-        });
+        let trace =
+            self.trace.as_deref().map_or_else(String::new, |t| format!(",\"trace\":{}", quote(t)));
         format!(
-            "{{\"pid\":{},\"worker\":\"{}\",\"fingerprint\":\"{:016x}\",\"deadline_ms\":{}{trace}}}",
+            "{{\"pid\":{},\"worker\":{},\"fingerprint\":\"{:016x}\",\"deadline_ms\":{}{trace}}}",
             self.pid,
-            crate::checkpoint::escape(&self.worker),
+            quote(&self.worker),
             self.fingerprint,
             self.deadline_ms,
         )
@@ -82,14 +84,13 @@ impl LeaseInfo {
     /// `trace` key is an untraced claimant, not corruption.
     #[must_use]
     pub fn decode(text: &str) -> Option<Self> {
-        let v = parse_value(text)?;
-        let obj = v.as_object()?;
+        let v = json::parse(text).ok()?;
         Some(Self {
-            pid: obj.get_num("pid")? as u64,
-            worker: obj.get_str("worker")?.to_string(),
-            fingerprint: u64::from_str_radix(obj.get_str("fingerprint")?, 16).ok()?,
-            deadline_ms: obj.get_num("deadline_ms")? as u64,
-            trace: obj.get_str("trace").map(ToString::to_string),
+            pid: v.get("pid")?.as_u64()?,
+            worker: v.get("worker")?.as_str()?.to_string(),
+            fingerprint: u64::from_str_radix(v.get("fingerprint")?.as_str()?, 16).ok()?,
+            deadline_ms: v.get("deadline_ms")?.as_u64()?,
+            trace: v.get("trace").and_then(Value::as_str).map(ToString::to_string),
         })
     }
 }
@@ -198,7 +199,7 @@ pub fn release_decision(on_disk: Option<&LeaseInfo>, pid: u64, worker: &str) -> 
 /// same plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommitStep {
-    /// Create the private temp file (unique name per process).
+    /// Create the private temp file (unique name per call).
     CreateTemp,
     /// Write the checksum-framed payload into the temp file.
     WritePayload,
@@ -214,8 +215,9 @@ pub enum CommitStep {
     RemoveTemp,
 }
 
-/// The atomic-write sequence every checkpoint artifact commits
-/// through: temp → write → fsync → rename.
+/// The atomic-write sequence every checksummed record commits through
+/// (checkpoint artifacts, serve cache entries and job records, `merge`
+/// imports): temp → write → fsync → rename.
 pub const ATOMIC_WRITE_STEPS: &[CommitStep] =
     &[CommitStep::CreateTemp, CommitStep::WritePayload, CommitStep::SyncTemp, CommitStep::Publish];
 

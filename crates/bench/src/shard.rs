@@ -54,10 +54,10 @@ use wcms_error::WcmsError;
 use wcms_obs::Clock;
 
 use crate::checkpoint::{
-    decode_file, encode_file, fnv1a64, prune_dir, sanitize, write_atomic, CheckpointStore,
-    QUARANTINE_RETAIN,
+    decode_file, encode_file, fnv1a64, move_aside, rename_away, run_plan, sanitize, write_atomic,
+    CheckpointStore, QUARANTINE_RETAIN,
 };
-use crate::protocol::{self, CommitStep, LeaseAction, LeaseView};
+use crate::protocol::{self, LeaseAction, LeaseView};
 
 pub use crate::protocol::LeaseInfo;
 
@@ -321,45 +321,6 @@ impl LeaseStore {
         self.dir.join(format!(".{tag}-{}-{}-{seq}.tmp", sanitize(&self.worker), std::process::id()))
     }
 
-    /// Execute [`protocol::LEASE_CLAIM_STEPS`] for `info`: write the
-    /// framed payload to a private temp, fsync, `hard_link` to the
-    /// lease name, unlink the temp. Returns the link result (the
-    /// `AlreadyExists` loser path is the caller's claim race).
-    fn run_claim_steps(
-        &self,
-        info: &LeaseInfo,
-        tmp: &std::path::Path,
-        path: &std::path::Path,
-    ) -> Result<std::io::Result<()>, WcmsError> {
-        let mut file: Option<fs::File> = None;
-        let mut linked: std::io::Result<()> = Ok(());
-        for step in protocol::LEASE_CLAIM_STEPS {
-            protocol::probe::executed("lease-claim", *step);
-            match step {
-                CommitStep::CreateTemp => file = Some(fs::File::create(tmp)?),
-                CommitStep::WritePayload => {
-                    if let Some(f) = file.as_mut() {
-                        use std::io::Write as _;
-                        f.write_all(encode_file(&info.encode()).as_bytes())?;
-                    }
-                }
-                CommitStep::SyncTemp => {
-                    if let Some(f) = file.as_ref() {
-                        f.sync_all()?;
-                    }
-                }
-                CommitStep::Publish => {
-                    drop(file.take());
-                    linked = fs::hard_link(tmp, path);
-                }
-                CommitStep::RemoveTemp => {
-                    let _ = fs::remove_file(tmp);
-                }
-            }
-        }
-        Ok(linked)
-    }
-
     /// Try to claim `cell`. At most a few protocol rounds, each one a
     /// read → [`protocol::lease_decision`] → effect: a missing lease
     /// is claimed by atomic `hard_link`; a corrupt lease is
@@ -389,8 +350,14 @@ impl LeaseStore {
                     // the analyzer models fresh_lease and must keep
                     // seeing the exact production claim logic.
                     info.trace = self.trace.clone();
+                    // Publish through the lease-claim plan: the link
+                    // fails with AlreadyExists for the race's losers.
                     let tmp = self.scratch("claim", round);
-                    match self.run_claim_steps(&info, &tmp, &path)? {
+                    let framed = encode_file(&info.encode());
+                    let claim = protocol::LEASE_CLAIM_STEPS;
+                    match run_plan("lease-claim", claim, &tmp, framed.as_bytes(), |tmp| {
+                        fs::hard_link(tmp, &path)
+                    })? {
                         Ok(()) => {
                             return Ok(LeaseAttempt::Acquired(LeaseGuard {
                                 path,
@@ -407,19 +374,13 @@ impl LeaseStore {
                     // expired. The rename races benignly with other
                     // quarantiners and stealers.
                     let qdir = self.dir.join("quarantine");
-                    let _ = fs::create_dir_all(&qdir);
-                    let dest = qdir.join(path.file_name().unwrap_or_default());
-                    let _ = fs::rename(&path, &dest);
-                    self.store.note_evictions(prune_dir(&qdir, QUARANTINE_RETAIN));
+                    let _ = move_aside(&path, &qdir, QUARANTINE_RETAIN, &self.store.evicted);
                     continue;
                 }
                 LeaseAction::Steal => {
                     // Expired: steal by renaming it away — exactly one
                     // stealer's rename succeeds.
-                    let tomb = self.scratch("steal", round);
-                    if fs::rename(&path, &tomb).is_ok() {
-                        let _ = fs::remove_file(&tomb);
-                    }
+                    rename_away(&path, &self.scratch("steal", round));
                     continue;
                 }
                 LeaseAction::Held { worker, remaining_ms } => {

@@ -1,13 +1,45 @@
-//! A minimal hand-rolled JSON reader (and string escaper) for the
-//! journal tooling.
+//! The workspace's one JSON reader (and string escaper).
 //!
-//! The workspace is offline — no serde_json — and already hand-rolls
-//! its checkpoint codec; this is the same move for `wcms-trace`, which
-//! must *parse* journals back. The value model is deliberately small:
-//! numbers are `f64` (journal timestamps are microseconds, far inside
-//! the 2^53 exact-integer range) and objects preserve insertion order.
+//! The workspace is offline — no serde_json. Every JSON document the
+//! repo reads back goes through [`parse`]: trace journals
+//! (`wcms-trace`), the serve wire protocol and job journal, and the
+//! checksummed checkpoint records (cells, manifests, leases). The value
+//! model is deliberately small: numbers are `f64` (integer fields are
+//! read with [`Value::as_u64`], exact up to 2^53) and objects preserve
+//! insertion order. Nesting is capped at [`MAX_DEPTH`], so a hostile
+//! document cannot recurse the reader off its thread's stack.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+
+/// Deepest array/object nesting [`parse`] accepts. Far deeper than any
+/// document the repo writes; bounds the reader's recursion so a frame
+/// of nothing but `[` is a typed error, not a stack overflow.
+pub const MAX_DEPTH: usize = 128;
+
+/// Why [`parse`] rejected a document.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ParseError {
+    /// Not well-formed JSON: the byte offset and what was expected.
+    Syntax(String),
+    /// Arrays/objects nest deeper than [`MAX_DEPTH`] at this byte offset.
+    TooDeep(usize),
+}
+
+impl fmt::Display for ParseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ParseError::Syntax(msg) => f.write_str(msg),
+            ParseError::TooDeep(at) => write!(f, "byte {at}: nested deeper than {MAX_DEPTH}"),
+        }
+    }
+}
+
+type Parsed<T> = Result<T, ParseError>;
+
+/// A [`ParseError::Syntax`] at byte `at`.
+fn syntax<T>(at: usize, what: impl fmt::Display) -> Parsed<T> {
+    Err(ParseError::Syntax(format!("byte {at}: {what}")))
+}
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,14 +113,15 @@ impl Value {
 ///
 /// # Errors
 ///
-/// A `String` naming the byte offset and what was expected there.
-pub fn parse(text: &str) -> Result<Value, String> {
+/// [`ParseError::Syntax`] naming the byte offset and what was expected
+/// there, or [`ParseError::TooDeep`] past [`MAX_DEPTH`] levels.
+pub fn parse(text: &str) -> Parsed<Value> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
-        return Err(format!("byte {pos}: trailing characters after the document"));
+        return syntax(pos, "trailing characters after the document");
     }
     Ok(value)
 }
@@ -99,30 +132,31 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Parsed<Value> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(ParseError::TooDeep(*pos)),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Value::Bool(false)),
         Some(b'n') => parse_literal(bytes, pos, "null", Value::Null),
         Some(_) => parse_number(bytes, pos),
-        None => Err(format!("byte {pos}: unexpected end of input")),
+        None => syntax(*pos, "unexpected end of input"),
     }
 }
 
-fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &str, value: Value) -> Result<Value, String> {
+fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &str, value: Value) -> Parsed<Value> {
     if bytes[*pos..].starts_with(lit.as_bytes()) {
         *pos += lit.len();
         Ok(value)
     } else {
-        Err(format!("byte {pos}: expected '{lit}'"))
+        syntax(*pos, format_args!("expected '{lit}'"))
     }
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_number(bytes: &[u8], pos: &mut usize) -> Parsed<Value> {
     let start = *pos;
     if let Some(b'-') = bytes.get(*pos) {
         *pos += 1;
@@ -130,19 +164,21 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     while let Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') = bytes.get(*pos) {
         *pos += 1;
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "non-utf8".to_string())?;
-    text.parse::<f64>()
-        .map(Value::Num)
-        .map_err(|_| format!("byte {start}: '{text}' is not a number"))
+    // The scanned bytes are ASCII, so the slice is valid UTF-8.
+    let text = std::str::from_utf8(&bytes[start..*pos]).unwrap_or_default();
+    match text.parse::<f64>() {
+        Ok(n) => Ok(Value::Num(n)),
+        Err(_) => syntax(start, format_args!("'{text}' is not a number")),
+    }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(bytes: &[u8], pos: &mut usize) -> Parsed<String> {
     debug_assert_eq!(bytes.get(*pos), Some(&b'"'));
     *pos += 1;
     let mut out = String::new();
     loop {
         match bytes.get(*pos) {
-            None => return Err(format!("byte {pos}: unterminated string")),
+            None => return syntax(*pos, "unterminated string"),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
@@ -159,26 +195,26 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or_else(|| format!("byte {pos}: truncated \\u escape"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("byte {pos}: bad \\u escape '{hex}'"))?;
+                        let hex =
+                            bytes.get(*pos + 1..*pos + 5).and_then(|h| std::str::from_utf8(h).ok());
+                        let Some(code) = hex.and_then(|h| u32::from_str_radix(h, 16).ok()) else {
+                            return syntax(*pos, "bad \\u escape");
+                        };
                         // Surrogates (journals never emit them) degrade
                         // to the replacement character rather than fail.
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         *pos += 4;
                     }
-                    other => return Err(format!("byte {pos}: bad escape {other:?}")),
+                    other => return syntax(*pos, format_args!("bad escape {other:?}")),
                 }
                 *pos += 1;
             }
             Some(_) => {
                 // Consume one UTF-8 scalar (possibly multi-byte).
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| format!("byte {pos}: invalid UTF-8"))?;
-                let c = rest.chars().next().ok_or_else(|| format!("byte {pos}: empty"))?;
+                let rest = std::str::from_utf8(&bytes[*pos..]);
+                let Some(c) = rest.ok().and_then(|r| r.chars().next()) else {
+                    return syntax(*pos, "invalid UTF-8");
+                };
                 out.push(c);
                 *pos += c.len_utf8();
             }
@@ -186,7 +222,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Parsed<Value> {
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -195,7 +231,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -203,12 +239,12 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
                 *pos += 1;
                 return Ok(Value::Arr(items));
             }
-            other => return Err(format!("byte {pos}: expected ',' or ']', got {other:?}")),
+            other => return syntax(*pos, format_args!("expected ',' or ']', got {other:?}")),
         }
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Parsed<Value> {
     *pos += 1; // '{'
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -219,15 +255,15 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     loop {
         skip_ws(bytes, pos);
         if bytes.get(*pos) != Some(&b'"') {
-            return Err(format!("byte {pos}: expected a string key"));
+            return syntax(*pos, "expected a string key");
         }
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         if bytes.get(*pos) != Some(&b':') {
-            return Err(format!("byte {pos}: expected ':'"));
+            return syntax(*pos, "expected ':'");
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -236,9 +272,17 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
                 *pos += 1;
                 return Ok(Value::Obj(members));
             }
-            other => return Err(format!("byte {pos}: expected ',' or '}}', got {other:?}")),
+            other => return syntax(*pos, format_args!("expected ',' or '}}', got {other:?}")),
         }
     }
+}
+
+/// `s` as a JSON string literal (with quotes).
+#[must_use]
+pub fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    escape_into(&mut out, s);
+    out
 }
 
 /// Append `s` as a JSON string literal (with quotes) to `out`.
@@ -307,6 +351,14 @@ mod tests {
         let mut doc = String::new();
         escape_into(&mut doc, hostile);
         assert_eq!(parse(&doc).unwrap(), Value::Str(hostile.into()));
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        let nest = |k: usize| format!("{}{}", "[".repeat(k), "]".repeat(k));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok(), "MAX_DEPTH levels must parse");
+        assert_eq!(parse(&nest(MAX_DEPTH + 1)), Err(ParseError::TooDeep(MAX_DEPTH)));
+        assert!(matches!(parse(&"{\"a\":".repeat(1 << 16)), Err(ParseError::TooDeep(_))));
     }
 
     #[test]

@@ -8,18 +8,22 @@
 //! across a crash" checkable with `cmp`: a hit re-sends the bytes the
 //! cold computation produced, with no re-encoding step to drift.
 //!
-//! Entries use the checkpoint crate's checksum framing
-//! ([`wcms_bench::checkpoint::encode_file`]) and atomic
-//! temp-fsync-rename writes. A corrupt entry (torn write, bit flip) is
-//! quarantined into `quarantine/` — evidence preserved — and reported
-//! as a miss so the result is recomputed; a poisoned cache must never
-//! serve wrong bytes.
+//! Entries are records of the checkpoint crate's record layer:
+//! checksum-framed, committed by its model-checked `write_atomic`. A
+//! corrupt entry (torn write, bit flip) is moved into the bounded
+//! `quarantine/` — evidence preserved — and reported as a miss so the
+//! result is recomputed; a poisoned cache must never serve wrong
+//! bytes. A cache directory belongs to one daemon.
 
 use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-use wcms_bench::checkpoint::{decode_file, encode_file, fnv1a64};
+use wcms_bench::checkpoint::{
+    decode_file, encode_file, fnv1a64, move_aside, remove_temp_strays, write_atomic,
+    QUARANTINE_RETAIN,
+};
 use wcms_error::WcmsError;
 
 /// Cache schema version, folded into every canonical key (via
@@ -54,18 +58,23 @@ pub enum CacheOutcome {
 #[derive(Debug, Clone)]
 pub struct ResultCache {
     dir: PathBuf,
+    /// Quarantined entries evicted since the last
+    /// [`ResultCache::take_quarantine_evictions`].
+    evicted: Arc<AtomicU64>,
 }
 
 impl ResultCache {
-    /// Open (creating if needed) a cache directory.
+    /// Open (creating if needed) a cache directory, deleting temp files
+    /// a crash mid-store left behind.
     ///
     /// # Errors
     ///
-    /// [`WcmsError::Io`] if the directory cannot be created.
+    /// [`WcmsError::Io`] if the directory cannot be created or listed.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, WcmsError> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        Ok(ResultCache { dir })
+        remove_temp_strays(&dir)?;
+        Ok(ResultCache { dir, evicted: Arc::new(AtomicU64::new(0)) })
     }
 
     fn entry_path(&self, key: &str) -> PathBuf {
@@ -99,9 +108,10 @@ impl ResultCache {
         CacheOutcome::Hit(payload.to_string())
     }
 
-    /// Store `payload` under `key` atomically (temp + fsync + rename),
-    /// with the canonical key recorded inside the entry as a collision
-    /// guard. `payload` must be newline-free (wire documents are).
+    /// Store `payload` under `key` atomically (temp + fsync + rename,
+    /// safe against concurrent stores of one key), with the canonical
+    /// key recorded inside the entry as a collision guard. `payload`
+    /// must be newline-free (wire documents are).
     ///
     /// # Errors
     ///
@@ -114,27 +124,23 @@ impl ResultCache {
                 reason: "cache keys and payloads must be newline-free".into(),
             });
         }
-        let path = self.entry_path(key);
-        let content = encode_file(&format!("{key}\n{payload}"));
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(content.as_bytes())?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, path)?;
-        Ok(())
+        write_atomic(&self.entry_path(key), encode_file(&format!("{key}\n{payload}")))
     }
 
     fn quarantine(&self, path: &Path, reason: &str) -> CacheOutcome {
         let qdir = self.dir.join("quarantine");
-        let dest = qdir.join(path.file_name().unwrap_or_default());
-        match fs::create_dir_all(&qdir).and_then(|()| fs::rename(path, &dest)) {
-            Ok(()) => CacheOutcome::Quarantined { reason: reason.to_string() },
+        match move_aside(path, &qdir, QUARANTINE_RETAIN, &self.evicted) {
+            Ok(_) => CacheOutcome::Quarantined { reason: reason.to_string() },
             Err(e) => CacheOutcome::Quarantined {
                 reason: format!("{reason}; quarantine move also failed: {e}"),
             },
         }
+    }
+
+    /// Drain the count of quarantine evictions since the last call —
+    /// the cache's share of `serve_quarantine_evicted_total`.
+    pub fn take_quarantine_evictions(&self) -> u64 {
+        self.evicted.swap(0, Ordering::Relaxed)
     }
 
     /// The cache directory (for tooling and chaos scripts).
@@ -200,6 +206,60 @@ mod tests {
         let cache = ResultCache::open(scratch("newline")).unwrap();
         let err = cache.store("key", "line1\nline2").unwrap_err();
         assert!(matches!(err, WcmsError::WireMalformed { .. }), "{err}");
+    }
+
+    /// Regression: every store once shared one `<fp>.tmp` temp name, so
+    /// concurrent stores of one key renamed each other's temp away and
+    /// all but one failed with `NotFound`.
+    #[test]
+    fn concurrent_stores_of_one_key_all_succeed() {
+        let cache = ResultCache::open(scratch("concurrent")).unwrap();
+        let keys: Vec<String> =
+            (0..200).map(|k| format!("wcms/v1/s1 concurrent key={k}")).collect();
+        let (together, failed) = (std::sync::Barrier::new(8), AtomicU64::new(0));
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    for key in &keys {
+                        together.wait(); // all eight store this key at once
+                        if cache.store(key, "{\"ok\":true}").is_err() {
+                            failed.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(failed.into_inner(), 0, "of {} concurrent stores", 8 * keys.len());
+        for key in &keys {
+            assert_eq!(cache.lookup(key), CacheOutcome::Hit("{\"ok\":true}".to_string()));
+        }
+        let temps = fs::read_dir(cache.dir()).unwrap().flatten();
+        let temps = temps.filter(|e| e.path().extension().is_some_and(|x| x == "tmp")).count();
+        assert_eq!(temps, 0, "every temp file is consumed by its own rename");
+    }
+
+    #[test]
+    fn quarantine_is_bounded_and_counts_evictions() {
+        let cache = ResultCache::open(scratch("qbound")).unwrap();
+        for k in 0..QUARANTINE_RETAIN + 8 {
+            let key = format!("wcms/v1/s1 corrupt key={k}");
+            fs::write(cache.entry_path(&key), "torn").unwrap();
+            assert!(matches!(cache.lookup(&key), CacheOutcome::Quarantined { .. }));
+        }
+        let kept = fs::read_dir(cache.dir().join("quarantine")).unwrap().count();
+        assert_eq!(kept, QUARANTINE_RETAIN);
+        assert_eq!(cache.take_quarantine_evictions(), 8);
+        assert_eq!(cache.take_quarantine_evictions(), 0, "drain must reset");
+    }
+
+    #[test]
+    fn open_deletes_temp_strays_of_a_crashed_store() {
+        let dir = scratch("strays");
+        ResultCache::open(&dir).unwrap();
+        let stray = dir.join("00000000000000ff.json.4242-0.tmp");
+        fs::write(&stray, "half a wri").unwrap();
+        ResultCache::open(&dir).unwrap();
+        assert!(!stray.exists(), "the crash's temp file must be swept");
     }
 
     #[test]

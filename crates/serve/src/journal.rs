@@ -1,9 +1,10 @@
 //! The crash-only job journal.
 //!
 //! Every admitted compute job is journaled to disk *before* it enters
-//! the queue and re-journaled when a worker picks it up, using the same
-//! atomic temp-fsync-rename + checksum-footer discipline as the
-//! checkpoint store. The daemon has no clean-shutdown path — SIGKILL is
+//! the queue and re-journaled when a worker picks it up, through the
+//! checkpoint crate's record layer: checksum footer plus the one
+//! model-checked atomic write ([`wcms_bench::checkpoint::write_atomic`]).
+//! The daemon has no clean-shutdown path — SIGKILL is
 //! the normal stop — so restart recovery works purely from what the
 //! journal shows:
 //!
@@ -17,13 +18,18 @@
 //!   (the client that was waiting saw its connection die and will
 //!   retry; the retry goes through the cache and the normal path).
 //! * corrupt records are quarantined into `quarantine/`, like every
-//!   other integrity failure in the repo.
+//!   other integrity failure in the repo, bounded at
+//!   [`QUARANTINE_RETAIN`] entries (`tombstones/` is not pruned).
+//!
+//! A journal directory belongs to one daemon.
 
 use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use wcms_bench::checkpoint::{decode_file, encode_file};
+use wcms_bench::checkpoint::{
+    decode_file, encode_file, move_aside, remove_temp_strays, write_atomic, QUARANTINE_RETAIN,
+};
 use wcms_error::WcmsError;
 use wcms_obs::json::{self, escape_into, Value};
 
@@ -63,13 +69,15 @@ pub struct Recovery {
     pub tombstoned: u64,
     /// Corrupt records moved to `quarantine/`.
     pub quarantined: u64,
+    /// Older quarantined records evicted to keep `quarantine/` bounded.
+    pub evicted: u64,
 }
 
 /// A directory of one-file-per-job lifecycle records.
 #[derive(Debug)]
 pub struct JobJournal {
     dir: PathBuf,
-    next_id: std::sync::atomic::AtomicU64,
+    next_id: AtomicU64,
 }
 
 fn job_path(dir: &Path, id: u64) -> PathBuf {
@@ -82,9 +90,10 @@ fn parse_id(path: &Path) -> Option<u64> {
 }
 
 impl JobJournal {
-    /// Open (creating if needed) a journal directory. The next job id
-    /// continues past every id visible on disk — live, tombstoned or
-    /// quarantined — so a restart can never reuse one.
+    /// Open (creating if needed) a journal directory, deleting temp
+    /// files a crash mid-write left behind. The next job id continues
+    /// past every id visible on disk — live, tombstoned or quarantined
+    /// — so a restart can never reuse one.
     ///
     /// # Errors
     ///
@@ -92,6 +101,7 @@ impl JobJournal {
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, WcmsError> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
+        remove_temp_strays(&dir)?;
         let mut max_id = 0u64;
         for sub in [dir.clone(), dir.join("tombstones"), dir.join("quarantine")] {
             let Ok(entries) = fs::read_dir(&sub) else { continue };
@@ -101,22 +111,14 @@ impl JobJournal {
                 }
             }
         }
-        Ok(JobJournal { dir, next_id: std::sync::atomic::AtomicU64::new(max_id + 1) })
+        Ok(JobJournal { dir, next_id: AtomicU64::new(max_id + 1) })
     }
 
     fn write_record(&self, id: u64, state: JobState, request: &str) -> Result<(), WcmsError> {
         let mut doc = format!("{{\"id\":{id},\"state\":\"{}\",\"request\":", state.name());
         escape_into(&mut doc, request);
         doc.push('}');
-        let path = job_path(&self.dir, id);
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(encode_file(&doc).as_bytes())?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, path)?;
-        Ok(())
+        write_atomic(&job_path(&self.dir, id), encode_file(&doc))
     }
 
     /// Journal a freshly admitted job; returns its id. The record is
@@ -127,7 +129,7 @@ impl JobJournal {
     ///
     /// [`WcmsError::Io`] on filesystem failures.
     pub fn record_queued(&self, request: &str) -> Result<u64, WcmsError> {
-        let id = self.next_id.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         self.write_record(id, JobState::Queued, request)?;
         Ok(id)
     }
@@ -165,6 +167,7 @@ impl JobJournal {
     /// aside and counted.
     pub fn recover(&self) -> Result<Recovery, WcmsError> {
         let mut out = Recovery::default();
+        let evicted = AtomicU64::new(0);
         let mut paths: Vec<PathBuf> = fs::read_dir(&self.dir)?
             .flatten()
             .map(|e| e.path())
@@ -172,20 +175,26 @@ impl JobJournal {
             .collect();
         paths.sort(); // deterministic recovery order (ids are fixed width hex)
         for path in paths {
+            // Moves aside are best effort: if one fails the record stays
+            // put and the next restart classifies it again — never a
+            // crash loop.
             match self.read_record(&path) {
                 Ok((id, JobState::Queued, request)) => {
                     out.recovered.push(RecoveredJob { id, request });
                 }
                 Ok((_, JobState::Running, _)) => {
-                    self.move_aside(&path, "tombstones");
+                    let tombs = self.dir.join("tombstones");
+                    let _ = move_aside(&path, &tombs, usize::MAX, &evicted);
                     out.tombstoned += 1;
                 }
                 Err(_) => {
-                    self.move_aside(&path, "quarantine");
+                    let qdir = self.dir.join("quarantine");
+                    let _ = move_aside(&path, &qdir, QUARANTINE_RETAIN, &evicted);
                     out.quarantined += 1;
                 }
             }
         }
+        out.evicted = evicted.into_inner();
         Ok(out)
     }
 
@@ -202,14 +211,6 @@ impl JobJournal {
         let request =
             v.get("request").and_then(Value::as_str).ok_or("record missing `request`")?.to_string();
         Ok((id, state, request))
-    }
-
-    fn move_aside(&self, path: &Path, sub: &str) {
-        let dest_dir = self.dir.join(sub);
-        let dest = dest_dir.join(path.file_name().unwrap_or_default());
-        // Best effort: if even the rename fails the record stays put and
-        // the next restart classifies it again — never a crash loop.
-        let _ = fs::create_dir_all(&dest_dir).and_then(|()| fs::rename(path, dest));
     }
 
     /// The journal directory (for tooling and chaos scripts).
@@ -272,6 +273,18 @@ mod tests {
         // (double restart) finds a clean journal.
         let _ = j.complete(1);
         assert_eq!(j.recover().unwrap(), Recovery::default());
+    }
+
+    #[test]
+    fn quarantine_is_bounded_and_counts_evictions() {
+        let dir = scratch("qbound");
+        let j = JobJournal::open(&dir).unwrap();
+        for id in 1..=(QUARANTINE_RETAIN + 8) as u64 {
+            fs::write(job_path(&dir, id), "torn").unwrap();
+        }
+        let rec = j.recover().unwrap();
+        assert_eq!((rec.quarantined, rec.evicted), ((QUARANTINE_RETAIN + 8) as u64, 8));
+        assert_eq!(fs::read_dir(dir.join("quarantine")).unwrap().count(), QUARANTINE_RETAIN);
     }
 
     #[test]

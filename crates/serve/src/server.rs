@@ -486,6 +486,8 @@ impl Server {
             }
             CacheOutcome::Quarantined { reason } => {
                 self.count("serve_cache_quarantined");
+                let evicted = self.cache.take_quarantine_evictions();
+                self.cfg.obs.metrics.counter("serve_quarantine_evicted_total").add(evicted);
                 self.cfg.obs.warn(
                     "cache-quarantined",
                     &format!("cache entry for {key} quarantined: {reason}; recomputing"),
@@ -690,6 +692,9 @@ impl Server {
             }
             let _ = self.journal.complete(job.id);
         }
+        // Both quarantine dirs are bounded; count what recovery evicted.
+        let evicted = recovery.evicted + self.cache.take_quarantine_evictions();
+        self.cfg.obs.metrics.counter("serve_quarantine_evicted_total").add(evicted);
         Ok(())
     }
 }
@@ -1279,6 +1284,7 @@ mod tests {
                     assert_eq!(total, 3, "{text}");
                     assert!(text.contains("serve_request_latency_seconds"), "{text}");
                     assert!(text.contains("serve_queue_depth"), "{text}");
+                    assert!(text.contains("serve_quarantine_evicted_total 0"), "{text}");
                 }
                 other => unreachable!("{other:?}"),
             }

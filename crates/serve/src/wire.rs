@@ -6,9 +6,10 @@
 //! ceiling *before* any allocation, so a hostile or corrupt prefix can
 //! never make the daemon reserve gigabytes (the classic
 //! length-prefix-DoS). Requests and responses are small hand-rolled
-//! JSON documents parsed with [`wcms_obs::json`] — the workspace is
-//! offline and already hand-rolls its checkpoint codec; this is the
-//! same move at the network boundary.
+//! JSON documents parsed with [`wcms_obs::json`] — the workspace's one
+//! JSON reader, shared with checkpoint records and the job journal,
+//! whose nesting cap keeps a hostile frame of `[` from exhausting a
+//! connection thread's stack.
 //!
 //! Every response embeds sweep-cell payloads via the *checkpoint* codec
 //! ([`wcms_bench::checkpoint::encode`]), so a measurement renders
@@ -128,12 +129,6 @@ pub fn read_frame(r: &mut impl Read, max: usize) -> Result<Option<Vec<u8>>, Wcms
 }
 
 // --- JSON helpers ---------------------------------------------------------
-
-fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    json::escape_into(&mut out, s);
-    out
-}
 
 fn get_usize(v: &Value, key: &str) -> Result<usize, WcmsError> {
     v.get(key)
@@ -454,7 +449,7 @@ impl Request {
                     encode_family(family),
                     encode_backend(*backend),
                     encode_algorithm(*algorithm),
-                    jstr(device),
+                    json::quote(device),
                     encode_trace(trace.as_ref()),
                 )
             }
@@ -481,7 +476,7 @@ impl Request {
                     encode_family(family),
                     encode_backend(*backend),
                     encode_algorithm(*algorithm),
-                    jstr(device),
+                    json::quote(device),
                     encode_trace(trace.as_ref()),
                 )
             }
@@ -736,7 +731,7 @@ impl Response {
             }
             Response::Measure { cell } => format!(
                 "{{\"ok\":true,\"op\":\"measure\",\"cell\":{}}}",
-                jstr(&checkpoint::encode(cell))
+                json::quote(&checkpoint::encode(cell))
             ),
             Response::Grid { cells } => {
                 let mut s = String::from("{\"ok\":true,\"op\":\"grid\",\"cells\":[");
@@ -746,7 +741,7 @@ impl Response {
                     }
                     s.push_str(&format!(
                         "{{\"n\":{n},\"cell\":{}}}",
-                        jstr(&checkpoint::encode(cell))
+                        json::quote(&checkpoint::encode(cell))
                     ));
                 }
                 s.push_str("]}");
@@ -778,14 +773,18 @@ impl Response {
                 format!("{{\"ok\":true,\"op\":\"health\",\"version\":{version}}}")
             }
             Response::Metrics { text } => {
-                format!("{{\"ok\":true,\"op\":\"metrics\",\"text\":{}}}", jstr(text))
+                format!("{{\"ok\":true,\"op\":\"metrics\",\"text\":{}}}", json::quote(text))
             }
             Response::Overloaded { retry_after_ms, queue_depth } => format!(
                 "{{\"ok\":false,\"error\":\"overloaded\",\"retry_after_ms\":{retry_after_ms},\
                  \"queue_depth\":{queue_depth}}}"
             ),
             Response::Error { kind, message } => {
-                format!("{{\"ok\":false,\"error\":{},\"message\":{}}}", jstr(kind), jstr(message))
+                format!(
+                    "{{\"ok\":false,\"error\":{},\"message\":{}}}",
+                    json::quote(kind),
+                    json::quote(message)
+                )
             }
         }
     }
@@ -1228,6 +1227,16 @@ mod tests {
             let err = Request::decode(&hostile).unwrap_err();
             assert!(matches!(err, WcmsError::WireMalformed { .. }), "{bad}: {err}");
         }
+    }
+
+    /// Regression: one frame of `[` once recursed the uncapped JSON
+    /// reader off a 2 MiB connection thread's stack, aborting the daemon.
+    #[test]
+    fn maximally_nested_frame_is_malformed_not_a_stack_overflow() {
+        let frame = "[".repeat(MAX_REQUEST_FRAME);
+        let thread = std::thread::Builder::new().stack_size(2 << 20);
+        let decoded = thread.spawn(move || Request::decode(&frame)).unwrap().join().unwrap();
+        assert!(matches!(decoded, Err(WcmsError::WireMalformed { .. })), "{decoded:?}");
     }
 
     #[test]
