@@ -327,6 +327,24 @@ where
     outcome
 }
 
+/// Run `threads` copies of `worker` on scoped threads and join each
+/// one. The explicit join waits until the thread has exited, which
+/// hands its malloc arena back for reuse; the scope's implicit join
+/// returns as soon as the closures finish, so a pool started right
+/// after could find no free arena and make another, and the memory an
+/// idle arena keeps would move the process's resident set from run to
+/// run. A worker's panic resumes on the caller, as the scope's would.
+fn run_workers(threads: usize, worker: impl Fn() + Sync) {
+    thread::scope(|s| {
+        let handles: Vec<_> = (0..threads).map(|_| s.spawn(&worker)).collect();
+        for handle in handles {
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    });
+}
+
 /// Order-preserving parallel map over a work queue.
 ///
 /// `threads <= 1` runs inline on the caller's thread (no workers, no
@@ -361,19 +379,15 @@ where
     let slots: Vec<Mutex<Option<Result<R, WcmsError>>>> =
         (0..queue.len()).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    thread::scope(|s| {
-        for _ in 0..threads.min(queue.len()) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(slot) = queue.get(i) else { break };
-                // The index is claimed exactly once, so the job is
-                // always still there.
-                let job = slot.lock().expect("queue lock poisoned").take();
-                let Some(job) = job else { break };
-                let result = guarded(i, job);
-                *slots[i].lock().expect("slot lock poisoned") = Some(result);
-            });
-        }
+    run_workers(threads.min(queue.len()), || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(slot) = queue.get(i) else { break };
+        // The index is claimed exactly once, so the job is always
+        // still there.
+        let job = slot.lock().expect("queue lock poisoned").take();
+        let Some(job) = job else { break };
+        let result = guarded(i, job);
+        *slots[i].lock().expect("slot lock poisoned") = Some(result);
     });
     slots
         .into_iter()
@@ -542,11 +556,7 @@ where
     if threads <= 1 {
         worker_loop();
     } else {
-        thread::scope(|s| {
-            for _ in 0..threads.min(n) {
-                s.spawn(worker_loop);
-            }
-        });
+        run_workers(threads.min(n), worker_loop);
     }
     slots
         .into_iter()
@@ -605,6 +615,28 @@ mod tests {
             Ok(())
         });
         assert!(ids.lock().unwrap().len() > 1, "expected work on more than one thread");
+    }
+
+    /// A pool returns only after its workers have exited, thread-local
+    /// destructors included: the next pool then reuses their malloc
+    /// arenas instead of making new ones.
+    #[test]
+    fn parallel_map_returns_after_its_workers_have_exited() {
+        static EXITED: AtomicUsize = AtomicUsize::new(0);
+        struct SlowExit;
+        impl Drop for SlowExit {
+            fn drop(&mut self) {
+                thread::sleep(Duration::from_millis(20));
+                EXITED.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        thread_local!(static EXIT: SlowExit = const { SlowExit });
+        let _ = parallel_map((0..8).collect(), 4, |_, j: usize| {
+            EXIT.with(|_| ());
+            thread::sleep(Duration::from_millis(5));
+            Ok(j)
+        });
+        assert_eq!(EXITED.load(Ordering::SeqCst), 4);
     }
 
     #[test]

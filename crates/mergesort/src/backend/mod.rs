@@ -6,12 +6,12 @@
 //! replay, fast analytic conflict counting, or a plain CPU reference.
 //! [`ExecBackend`] captures exactly that unit ("run one base-case block
 //! / one merge block and return `(output, RoundCounters)`"), and the
-//! drivers in [`crate::driver`] are generic over it:
+//! one pipeline in [`crate::driver`] is generic over it:
 //!
 //! ```text
 //!                      sort_on / sort_resilient_on
-//!                      (round loop, Rayon fan-out,
-//!                       retry/degrade policy)
+//!                      (one round loop, Rayon fan-out;
+//!                       fault layer: hooks, retry, degrade)
 //!                                │
 //!                        trait ExecBackend
 //!                 base_block · merge_unit · partition_unit
@@ -20,7 +20,9 @@
 //!        lockstep          schedule replay       sort_unstable
 //!        SharedMemory      into a                / merge_emit,
 //!        replay, exact     StepAccumulator,      no counters
-//!        values+counters   exact counters        (degrade ladder)
+//!        values+counters   exact counters        (degrade rung:
+//!                                                 base_block,
+//!                                                 merge_group)
 //! ```
 //!
 //! [`SimBackend`] and [`AnalyticBackend`] consume the *same* address

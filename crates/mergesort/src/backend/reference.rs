@@ -6,10 +6,12 @@
 //! Merge Path emit) and report **no** GPU counters: a degraded unit
 //! contributes nothing to the [`crate::instrument::SortReport`], exactly
 //! the contract of [`crate::driver::sort_resilient_on`]'s CPU fallback.
+//! A degraded base block reruns [`ExecBackend::base_block`] here; a
+//! degraded group of any width, pairs included, merges whole through
+//! [`ReferenceBackend::merge_group`].
 
 use wcms_error::WcmsError;
 use wcms_gpu_sim::GpuKey;
-use wcms_mergepath::cpu::merge_ref;
 use wcms_mergepath::diagonal::merge_path;
 use wcms_mergepath::multiway::{multiway_emit, multiway_select};
 use wcms_mergepath::serial::{merge_emit, MergeSource};
@@ -25,15 +27,9 @@ use super::ExecBackend;
 pub struct ReferenceBackend;
 
 impl ReferenceBackend {
-    /// Merge a whole sorted pair on the CPU (the degrade unit of the
-    /// resilient global rounds).
-    #[must_use]
-    pub fn merge_pair<K: GpuKey>(&self, a: &[K], b: &[K]) -> Vec<K> {
-        merge_ref(a, b)
-    }
-
-    /// Merge a whole group of sorted runs on the CPU (the degrade unit
-    /// of the resilient *multiway* global rounds).
+    /// Merge a whole group of sorted runs on the CPU — the degrade unit
+    /// of the resilient global rounds. Stable: ties take the earlier
+    /// run, so a pair merges as a Merge Path merge where ties take A.
     #[must_use]
     pub fn merge_group<K: GpuKey>(&self, runs: &[&[K]]) -> Vec<K> {
         let lens: Vec<usize> = runs.iter().map(|r| r.len()).collect();

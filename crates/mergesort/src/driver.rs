@@ -6,11 +6,15 @@
 //! disjoint output window), so the simulation fans blocks out with Rayon
 //! and reduces the counters with plain integer addition — results are
 //! bit-identical to the sequential order.
+//!
+//! Both public drivers run this one pipeline; [`sort_resilient_on`] adds
+//! fault injection, checks, retry and CPU degradation as a layer over
+//! its work units.
 
 use rayon::prelude::*;
 use wcms_error::WcmsError;
 use wcms_gpu_sim::fault::FaultInjector;
-use wcms_gpu_sim::FaultCounters;
+use wcms_gpu_sim::{FaultCounters, GpuKey};
 use wcms_mergepath::diagonal::merge_path;
 use wcms_mergepath::multiway::multiway_select;
 use wcms_obs::{event, span, Obs};
@@ -26,27 +30,15 @@ use crate::verify::{check_round_output, multiset_hash};
 /// `runs.chunks(fan_in)` is the round's group decomposition.
 type RunSpan = (usize, usize);
 
-/// One round group's precomputed co-ranks (the Modern GPU structure):
-/// pairwise groups carry per-block pairs, multiway groups per-block
-/// per-run vectors, passthrough groups nothing.
-enum GroupCoranks {
-    Pair(Vec<(usize, usize)>),
-    Multi(Vec<Vec<(usize, usize)>>),
-    None,
-}
+/// The fault layer of one sort: the injector that strikes its kernels
+/// and the policy that recovers from the strikes. `None` is the plain
+/// pipeline.
+type Faults<'a> = Option<(&'a FaultInjector, &'a RecoveryPolicy)>;
 
-fn group_refs<'a, K>(cur: &'a [K], grp: &[RunSpan]) -> Vec<&'a [K]> {
-    grp.iter().map(|&(off, len)| &cur[off..off + len]).collect()
-}
-
-fn split_runs<'a, K>(data: &'a [K], lens: &[usize]) -> Vec<&'a [K]> {
-    let mut out = Vec::with_capacity(lens.len());
-    let mut off = 0usize;
-    for &l in lens {
-        out.push(&data[off..off + l]);
-        off += l;
-    }
-    out
+/// The runs of one group as slices of `buf`, which starts at word
+/// offset `base` of the working buffer.
+fn runs_of<'a, K>(buf: &'a [K], grp: &[RunSpan], base: usize) -> Vec<&'a [K]> {
+    grp.iter().map(|&(off, len)| &buf[off - base..off - base + len]).collect()
 }
 
 /// What one sort runs and where it reports: the merge algorithm of the
@@ -101,13 +93,15 @@ impl Default for SortSpec<'_> {
 /// (see [`SortParams::valid_len`]), and propagates any kernel-detected
 /// corruption (CREW violations, out-of-bounds tiles, bad co-ranks) or
 /// the backend's own errors (e.g. [`WcmsError::Cancelled`]).
-pub fn sort_on<K: wcms_gpu_sim::GpuKey>(
+pub fn sort_on<K: GpuKey>(
     input: &[K],
     params: &SortParams,
     backend: &impl ExecBackend,
     spec: &SortSpec<'_>,
 ) -> Result<(Vec<K>, SortReport), WcmsError> {
-    run_sort(input, params, spec.algorithm.instance(), backend, spec.obs)
+    let (out, report, _) =
+        run_sort(input, params, spec.algorithm.instance(), backend, spec.obs, None)?;
+    Ok((out, report))
 }
 
 /// [`sort_on`] with [`SortSpec::default`]. Kept with this exact
@@ -116,7 +110,7 @@ pub fn sort_on<K: wcms_gpu_sim::GpuKey>(
 /// # Errors
 ///
 /// Same conditions as [`sort_on`].
-pub fn sort_with_report_on<K: wcms_gpu_sim::GpuKey>(
+pub fn sort_with_report_on<K: GpuKey>(
     input: &[K],
     params: &SortParams,
     backend: &impl ExecBackend,
@@ -124,35 +118,47 @@ pub fn sort_with_report_on<K: wcms_gpu_sim::GpuKey>(
     sort_on(input, params, backend, &SortSpec::default())
 }
 
-/// The pipeline behind [`sort_on`], for any [`SortAlgorithm`] — not
-/// just the [`AlgorithmKind`] instances.
-fn run_sort<K: wcms_gpu_sim::GpuKey>(
+/// The one pipeline behind [`sort_on`] (`faults` = `None`) and
+/// [`sort_resilient_on`], for any [`SortAlgorithm`] — not just the
+/// [`AlgorithmKind`] instances. It owns the base case, the round loop,
+/// the run list, every span and event, and the metric counters; the
+/// fault layer only wraps its work units ([`Pipeline::unit`]).
+fn run_sort<K: GpuKey>(
     input: &[K],
     params: &SortParams,
     algo: &dyn SortAlgorithm,
     backend: &impl ExecBackend,
     obs: &Obs,
-) -> Result<(Vec<K>, SortReport), WcmsError> {
+    faults: Faults<'_>,
+) -> Result<(Vec<K>, SortReport, FaultReport), WcmsError> {
     let n = input.len();
     if !params.valid_len(n) {
         return Err(WcmsError::InvalidLength { n, block_elems: params.block_elems() });
     }
     let be = params.block_elems();
-    let _sort_span = span!(obs, "sort", n => n, backend => backend.name());
+    let name = if faults.is_some() { "sort-resilient" } else { "sort" };
+    let _sort_span = span!(obs, name, n => n, backend => backend.name());
+    let pipe = Pipeline { params, backend, obs, faults };
+    let mut fault = FaultReport::default();
 
     // --- Base case: every block sorts its tile.
     let base_span = span!(obs, "base-case", blocks => n / be);
-    let block_results: Vec<(Vec<K>, RoundCounters)> = input
-        .par_chunks(be)
+    let mut cur = vec![K::default(); n];
+    let block_results: Vec<(RoundCounters, FaultReport)> = cur
+        .par_chunks_mut(be)
+        .zip(input.par_chunks(be))
         .enumerate()
-        .map(|(j, chunk)| backend.base_block(chunk, j * be, params))
+        .map(|(j, (out, chunk))| {
+            pipe.unit(
+                (0, j),
+                chunk,
+                out,
+                |attempt, out, f| pipe.base_block(j, chunk, attempt, out, f),
+                || ReferenceBackend.base_block(chunk, j * be, params).map(|(keys, _)| keys),
+            )
+        })
         .collect::<Result<_, _>>()?;
-    let mut base = RoundCounters::default();
-    let mut cur = Vec::with_capacity(n);
-    for (chunk, c) in block_results {
-        base.absorb(&c);
-        cur.extend(chunk);
-    }
+    let base = tally(block_results, &mut fault);
     drop(base_span);
     event!(obs, "round-counters",
         round => 0usize,
@@ -169,98 +175,35 @@ fn run_sort<K: wcms_gpu_sim::GpuKey>(
         round += 1;
         let g = algo.fan_in(runs.len()).clamp(2, runs.len());
         let groups: Vec<&[RunSpan]> = runs.chunks(g).collect();
-        let list_len = runs[0].1;
-        let _round_span = span!(obs, "merge-round", round => round, list_len => list_len);
+        let merged: Vec<RunSpan> =
+            groups.iter().map(|grp| (grp[0].0, grp.iter().map(|r| r.1).sum())).collect();
+        let _round_span = span!(obs, "merge-round", round => round, list_len => runs[0].1);
 
-        // Modern GPU structure: a separate partition kernel per round
-        // computes every block's co-ranks up front.
-        let partitions: Option<(Vec<GroupCoranks>, RoundCounters)> =
-            (params.variant == SortVariant::ModernGpu).then(|| {
-                let per_group: Vec<(GroupCoranks, RoundCounters)> = groups
-                    .par_iter()
-                    .map(|grp| {
-                        let blocks = grp.iter().map(|r| r.1).sum::<usize>() / be;
-                        match grp.len() {
-                            1 => (GroupCoranks::None, RoundCounters::default()),
-                            2 => {
-                                let (off0, len0) = grp[0];
-                                let a = &cur[off0..off0 + len0];
-                                let b = &cur[grp[1].0..grp[1].0 + grp[1].1];
-                                let (pairs, c) = backend.partition_unit(a, b, blocks, params);
-                                (GroupCoranks::Pair(pairs), c)
-                            }
-                            _ => {
-                                let refs = group_refs(&cur, grp);
-                                let (pairs, c) =
-                                    backend.partition_unit_multi(&refs, blocks, params);
-                                (GroupCoranks::Multi(pairs), c)
-                            }
-                        }
-                    })
-                    .collect();
-                let mut counters = RoundCounters::default();
-                let mut coranks = Vec::with_capacity(per_group.len());
-                for (pairs, c) in per_group {
-                    counters.absorb(&c);
-                    coranks.push(pairs);
-                }
-                (coranks, counters)
-            });
-
-        // One work unit per bE output window of every merging group, in
-        // group-major order (the kernel's block order).
-        let units: Vec<(usize, usize)> = groups
-            .iter()
-            .enumerate()
-            .flat_map(|(gi, grp)| {
-                let blocks =
-                    if grp.len() == 1 { 0 } else { grp.iter().map(|r| r.1).sum::<usize>() / be };
-                (0..blocks).map(move |j| (gi, j))
-            })
-            .collect();
-        let results: Vec<(Vec<K>, RoundCounters)> = units
+        // Each group merges into its own disjoint window of `next`.
+        let mut next = vec![K::default(); n];
+        let mut outs = Vec::with_capacity(groups.len());
+        let mut rest = next.as_mut_slice();
+        for &(_, len) in &merged {
+            let (out, tail) = std::mem::take(&mut rest).split_at_mut(len);
+            outs.push(out);
+            rest = tail;
+        }
+        let group_results: Vec<(RoundCounters, FaultReport)> = groups
             .par_iter()
-            .map(|&(gi, j)| {
-                let grp = groups[gi];
-                if grp.len() == 2 {
-                    let (off0, len0) = grp[0];
-                    let a = &cur[off0..off0 + len0];
-                    let b = &cur[grp[1].0..grp[1].0 + grp[1].1];
-                    let pre = partitions.as_ref().and_then(|(cor, _)| match &cor[gi] {
-                        GroupCoranks::Pair(pairs) => Some(pairs[j]),
-                        _ => None,
-                    });
-                    backend.merge_unit(a, b, off0, grp[1].0, j, params, pre)
-                } else {
-                    let refs = group_refs(&cur, grp);
-                    let offs: Vec<usize> = grp.iter().map(|r| r.0).collect();
-                    let pre = partitions.as_ref().and_then(|(cor, _)| match &cor[gi] {
-                        GroupCoranks::Multi(pairs) => Some(pairs[j].as_slice()),
-                        _ => None,
-                    });
-                    backend.merge_unit_multi(&refs, &offs, grp[0].0, j, params, pre)
-                }
+            .zip(outs)
+            .enumerate()
+            .map(|(gi, (grp, out))| {
+                let (base, len) = merged[gi];
+                pipe.unit(
+                    (round, gi),
+                    &cur[base..base + len],
+                    out,
+                    |attempt, out, f| pipe.merge_group(&cur, grp, round, attempt, out, f),
+                    || Ok(ReferenceBackend.merge_group(&runs_of(&cur, grp, 0))),
+                )
             })
             .collect::<Result<_, _>>()?;
-
-        let mut round_counters = partitions.map(|(_, c)| c).unwrap_or_default();
-        let mut next = Vec::with_capacity(n);
-        let mut next_runs = Vec::with_capacity(groups.len());
-        let mut merged = results.into_iter();
-        for grp in &groups {
-            let base = grp[0].0;
-            let total: usize = grp.iter().map(|r| r.1).sum();
-            next_runs.push((base, total));
-            if grp.len() == 1 {
-                next.extend_from_slice(&cur[base..base + total]);
-                continue;
-            }
-            for _ in 0..total / be {
-                let (chunk, c) = merged.next().expect("one unit per output window");
-                round_counters.absorb(&c);
-                next.extend(chunk);
-            }
-        }
+        let round_counters = tally(group_results, &mut fault);
         event!(obs, "round-counters",
             round => round,
             merge_steps => round_counters.shared.merge.steps,
@@ -268,12 +211,23 @@ fn run_sort<K: wcms_gpu_sim::GpuKey>(
             blocks => round_counters.blocks);
         rounds.push(round_counters);
         cur = next;
-        runs = next_runs;
+        runs = merged;
     }
 
     let report = SortReport { params: *params, n, base, rounds };
-    observe_report(obs, &report);
-    Ok((cur, report))
+    observe_report(obs, &report, faults.map(|_| &fault));
+    Ok((cur, report, fault))
+}
+
+/// Sum one kernel's accepted unit counters, and move the units' fault
+/// ledgers into `fault` in unit order.
+fn tally(results: Vec<(RoundCounters, FaultReport)>, fault: &mut FaultReport) -> RoundCounters {
+    let mut total = RoundCounters::default();
+    for (c, f) in results {
+        total.absorb(&c);
+        fault.absorb(&f);
+    }
+    total
 }
 
 /// Feed one accepted [`SortReport`] into the metric counters. The
@@ -281,7 +235,8 @@ fn run_sort<K: wcms_gpu_sim::GpuKey>(
 /// advances by exactly `report.total().shared.merge.steps` and
 /// `sort_conflict_extra_cycles_total` by exactly
 /// `report.total().shared.combined().extra_cycles`, on every backend.
-fn observe_report(obs: &Obs, report: &SortReport) {
+/// A resilient sort's fault totals feed the `fault_*` counters.
+fn observe_report(obs: &Obs, report: &SortReport, fault: Option<&FaultReport>) {
     if !obs.is_active() {
         return;
     }
@@ -291,6 +246,245 @@ fn observe_report(obs: &Obs, report: &SortReport) {
     obs.metrics.counter("sort_merge_steps_total").add(total.shared.merge.steps as u64);
     obs.metrics.counter("sort_blocks_launched_total").add(report.blocks_launched() as u64);
     total.to_kernel().observe(&obs.metrics, "sort");
+    if let Some(FaultReport { counters: c, .. }) = fault {
+        obs.metrics.counter("faults_injected_total").add((c.tile_faults + c.corank_faults) as u64);
+        obs.metrics.counter("faults_detected_total").add(c.detected as u64);
+        obs.metrics.counter("fault_retries_total").add(c.retries as u64);
+        obs.metrics.counter("fault_cpu_fallbacks_total").add(c.cpu_fallbacks as u64);
+    }
+}
+
+/// What every work unit of one sort shares.
+struct Pipeline<'a, B> {
+    params: &'a SortParams,
+    backend: &'a B,
+    obs: &'a Obs,
+    faults: Faults<'a>,
+}
+
+impl<B: ExecBackend> Pipeline<'_, B> {
+    /// Run one work unit into `out`: base-case block `unit` of round 0,
+    /// or group `unit` of a global round, whose immutable input is
+    /// `input`.
+    ///
+    /// Without a fault layer this is one `attempt`, unchecked, with its
+    /// errors propagated unchanged. With one, the unit gets up to
+    /// `max_retries + 1` attempts, each checked by
+    /// [`check_round_output`] against `input`'s multiset fingerprint. A
+    /// failed check or a kernel-fault error (a bad co-rank, an
+    /// out-of-bounds tile, a CREW violation, corrupt output) is a
+    /// detected fault; every other error, cancellation included,
+    /// propagates. Past the budget the unit degrades to `fallback` (the
+    /// CPU reference path, no GPU counters) or fails with
+    /// [`WcmsError::FaultUnrecoverable`].
+    fn unit<K: GpuKey>(
+        &self,
+        (round, unit): (usize, usize),
+        input: &[K],
+        out: &mut [K],
+        mut attempt: impl FnMut(usize, &mut [K], &mut FaultCounters) -> Result<RoundCounters, WcmsError>,
+        fallback: impl FnOnce() -> Result<Vec<K>, WcmsError>,
+    ) -> Result<(RoundCounters, FaultReport), WcmsError> {
+        let mut f = FaultReport::default();
+        let Some((_, policy)) = self.faults else {
+            return Ok((attempt(0, out, &mut f.counters)?, f));
+        };
+        let expect_hash = multiset_hash(input);
+        for a in 0..=policy.max_retries {
+            if a > 0 {
+                f.counters.retries += 1;
+            }
+            match attempt(a, out, &mut f.counters) {
+                Ok(c) if check_round_output(out, input.len(), expect_hash, round, unit).is_ok() => {
+                    return Ok((c, f));
+                }
+                Ok(_)
+                | Err(
+                    WcmsError::PartitionValidation { .. }
+                    | WcmsError::SmemOutOfBounds { .. }
+                    | WcmsError::CrewViolation { .. }
+                    | WcmsError::CorruptOutput { .. },
+                ) => f.counters.detected += 1,
+                Err(other) => return Err(other),
+            }
+        }
+        if !policy.cpu_fallback {
+            return Err(WcmsError::FaultUnrecoverable {
+                round,
+                block: unit,
+                retries: policy.max_retries,
+            });
+        }
+        f.counters.cpu_fallbacks += 1;
+        f.degraded.push((round, unit));
+        out.copy_from_slice(&fallback()?);
+        Ok((RoundCounters::default(), f))
+    }
+
+    /// One attempt at base-case block `j`: sort `chunk` into `out`.
+    fn base_block<K: GpuKey>(
+        &self,
+        j: usize,
+        chunk: &[K],
+        attempt: usize,
+        out: &mut [K],
+        f: &mut FaultCounters,
+    ) -> Result<RoundCounters, WcmsError> {
+        let mut hooks = self.hooks(0, j, attempt);
+        let tile = hooks.flip_tile(chunk);
+        hooks.record(f, self.obs);
+        let be = self.params.block_elems();
+        let (keys, c) =
+            self.backend.base_block(tile.as_deref().unwrap_or(chunk), j * be, self.params)?;
+        out.copy_from_slice(&keys);
+        Ok(c)
+    }
+
+    /// One attempt at merging one group of runs (spans of `cur`) into
+    /// `out`. A 1-run group passes through. A wider group runs its
+    /// partition kernel (Modern GPU only; Thrust blocks search their own
+    /// co-ranks), then one merge unit per `bE` output window — kernel
+    /// block `base / bE + j` for window `j`.
+    ///
+    /// Windows fan out with Rayon; their counters and fault strikes fold
+    /// in block order, up to the first failing window, so the ledger is
+    /// that of a kernel that stops at its first fault.
+    fn merge_group<K: GpuKey>(
+        &self,
+        cur: &[K],
+        grp: &[RunSpan],
+        round: usize,
+        attempt: usize,
+        out: &mut [K],
+        f: &mut FaultCounters,
+    ) -> Result<RoundCounters, WcmsError> {
+        let (params, backend) = (self.params, self.backend);
+        let be = params.block_elems();
+        let base = grp[0].0;
+        let input = &cur[base..base + out.len()];
+        if grp.len() == 1 {
+            out.copy_from_slice(input);
+            return Ok(RoundCounters::default());
+        }
+        let runs = runs_of(input, grp, base);
+        let offs: Vec<usize> = grp.iter().map(|r| r.0).collect();
+        let (blocks, pairwise) = (out.len() / be, runs.len() == 2);
+        let modern = params.variant == SortVariant::ModernGpu;
+        let pair_cuts =
+            (modern && pairwise).then(|| backend.partition_unit(runs[0], runs[1], blocks, params));
+        let multi_cuts =
+            (modern && !pairwise).then(|| backend.partition_unit_multi(&runs, blocks, params));
+        let cut_counters = pair_cuts.as_ref().map(|p| p.1).or(multi_cuts.as_ref().map(|p| p.1));
+        let mut counters = cut_counters.unwrap_or_default();
+
+        let windows: Vec<(Result<RoundCounters, WcmsError>, Hooks<'_>)> = out
+            .par_chunks_mut(be)
+            .enumerate()
+            .map(|(j, window)| {
+                let mut hooks = self.hooks(round, base / be + j, attempt);
+                let mut pre_pair = pair_cuts.as_ref().map(|(cuts, _)| cuts[j]);
+                let mut pre_multi = multi_cuts.as_ref().map(|(cuts, _)| cuts[j].as_slice());
+                let corrupted: Vec<(usize, usize)>;
+                if hooks.corank_struck() {
+                    if pairwise {
+                        let (a, b) = (runs[0], runs[1]);
+                        let cut = |d: usize| merge_path(d, a.len(), b.len(), |i| a[i], |x| b[x]);
+                        let correct = pre_pair.unwrap_or_else(|| (cut(j * be), cut(j * be + be)));
+                        pre_pair = Some(hooks.corrupt(correct));
+                    } else {
+                        let lens: Vec<usize> = runs.iter().map(|r| r.len()).collect();
+                        let cut = |d: usize| multiway_select(&lens, d, |i, x| runs[i][x]);
+                        let mut pairs = pre_multi.map_or_else(
+                            || cut(j * be).into_iter().zip(cut(j * be + be)).collect(),
+                            <[_]>::to_vec,
+                        );
+                        pairs[0] = hooks.corrupt(pairs[0]);
+                        corrupted = pairs;
+                        pre_multi = Some(&corrupted);
+                    }
+                }
+                let tile = hooks.flip_tile(input);
+                let tile_runs = tile.as_deref().map(|t| runs_of(t, grp, base));
+                let src = tile_runs.as_deref().unwrap_or(&runs);
+                let result = if pairwise {
+                    backend.merge_unit(src[0], src[1], offs[0], offs[1], j, params, pre_pair)
+                } else {
+                    backend.merge_unit_multi(src, &offs, base, j, params, pre_multi)
+                };
+                let accepted = result.map(|(keys, c)| {
+                    window.copy_from_slice(&keys);
+                    c
+                });
+                (accepted, hooks)
+            })
+            .collect();
+        for (result, hooks) in windows {
+            hooks.record(f, self.obs);
+            counters.absorb(&result?);
+        }
+        Ok(counters)
+    }
+
+    /// The fault hooks of kernel block `block` in `round`, at `attempt`.
+    fn hooks(&self, round: usize, block: usize, attempt: usize) -> Hooks<'_> {
+        let injector = self.faults.map(|(inj, _)| inj);
+        Hooks { injector, at: (round, block, attempt), corank: false, flipped: None }
+    }
+}
+
+/// The two fault hooks of one kernel block's attempt and what they
+/// struck. Without an injector neither hook ever fires.
+struct Hooks<'a> {
+    injector: Option<&'a FaultInjector>,
+    /// The strike's replayable coordinates `(round, block, attempt)`.
+    at: (usize, usize, usize),
+    corank: bool,
+    flipped: Option<usize>,
+}
+
+impl Hooks<'_> {
+    /// The co-rank hook: does the block run with a corrupted co-rank
+    /// pair (a faulty partition kernel or a torn read of the partition
+    /// array)? If so, it reads [`Hooks::corrupt`] of run 0's pair.
+    fn corank_struck(&mut self) -> bool {
+        let (round, block, attempt) = self.at;
+        self.corank = self.injector.is_some_and(|inj| inj.corank_fault_at(round, block, attempt));
+        self.corank
+    }
+
+    /// The struck block's view of a `correct` co-rank pair.
+    fn corrupt(&self, correct: (usize, usize)) -> (usize, usize) {
+        let (round, block, attempt) = self.at;
+        self.injector.map_or(correct, |inj| inj.corrupt_corank(correct, round, block, attempt))
+    }
+
+    /// The tile hook: when it strikes, the keys the block loads are a
+    /// copy of `keys` with bits flipped.
+    fn flip_tile<K: GpuKey>(&mut self, keys: &[K]) -> Option<Vec<K>> {
+        let (round, block, attempt) = self.at;
+        let inj = self.injector.filter(|inj| inj.tile_fault_at(round, block, attempt))?;
+        let mut tile = keys.to_vec();
+        self.flipped = Some(inj.flip_tile_bits(&mut tile, round, block, attempt));
+        Some(tile)
+    }
+
+    /// Count the strikes into `f`, with one `fault-injected` event each
+    /// carrying the injector seed and the coordinates that replay it.
+    fn record(&self, f: &mut FaultCounters, obs: &Obs) {
+        f.corank_faults += usize::from(self.corank);
+        f.tile_faults += usize::from(self.flipped.is_some());
+        f.bits_flipped += self.flipped.unwrap_or(0);
+        let (round, unit, attempt) = self.at;
+        let kinds = [self.corank.then_some("corank"), self.flipped.map(|_| "tile-bitflip")];
+        for kind in kinds.into_iter().flatten() {
+            event!(obs, "fault-injected",
+                kind => kind,
+                seed => self.injector.map_or(0, |inj| inj.config().seed),
+                round => round,
+                unit => unit,
+                attempt => attempt);
+        }
+    }
 }
 
 /// Sort an arbitrary-length input on the simulated GPU by padding with
@@ -301,7 +495,7 @@ fn observe_report(obs: &Obs, report: &SortReport) {
 ///
 /// Propagates kernel-detected corruption from [`sort_on`] (the length
 /// itself is always made valid by padding).
-pub fn sort_padded<K: wcms_gpu_sim::GpuKey>(
+pub fn sort_padded<K: GpuKey>(
     input: &[K],
     params: &SortParams,
 ) -> Result<(Vec<K>, SortReport), WcmsError> {
@@ -342,7 +536,7 @@ pub struct FaultReport {
     pub counters: FaultCounters,
     /// Work units that fell back to the CPU reference path, as
     /// `(round, unit)` — unit is the block index in round 0 (base case)
-    /// and the pair index in global merge rounds.
+    /// and the group index in global merge rounds.
     pub degraded: Vec<(usize, usize)>,
 }
 
@@ -364,7 +558,8 @@ impl FaultReport {
 /// [`sort_on`] hardened against transient faults: every kernel runs
 /// under a [`FaultInjector`] and every work unit's output is checked
 /// (sortedness + multiset fingerprint against its immutable input)
-/// before it is accepted.
+/// before it is accepted. It is the same pipeline as [`sort_on`], with
+/// the fault layer over its work units.
 ///
 /// Detection and recovery per work unit — a thread block in the base
 /// case, a merged group in a global round (the group of runs merged
@@ -372,7 +567,9 @@ impl FaultReport {
 /// advance — the pair, for the pairwise algorithm):
 ///
 /// 1. a typed kernel error (CREW violation, out-of-bounds tile, invalid
-///    co-rank) or a failed [`check_round_output`] marks the attempt bad;
+///    co-rank, corrupt output) or a failed [`check_round_output`] marks
+///    the attempt bad; any other error (e.g. [`WcmsError::Cancelled`])
+///    propagates unretried;
 /// 2. the unit retries from its checkpointed input up to
 ///    [`RecoveryPolicy::max_retries`] times — transient faults (keyed by
 ///    attempt) clear, hard faults do not;
@@ -383,15 +580,16 @@ impl FaultReport {
 ///
 /// The [`SortReport`] counts only the *accepted* GPU work (a degraded
 /// unit contributes no GPU counters); wasted attempts show up in the
-/// [`FaultReport`] instead. With [`FaultInjector::disabled`] the output
-/// and report are bit-identical to [`sort_on`] and the fault report is
-/// [`FaultReport::clean`].
+/// [`FaultReport`] instead. With [`FaultInjector::disabled`] the output,
+/// the report and the `round-counters` events are bit-identical to
+/// [`sort_on`] and the fault report is [`FaultReport::clean`].
 ///
 /// Under an active `spec.obs` the pipeline runs in a `sort-resilient`
-/// span, every injected fault becomes a `fault-injected` event carrying
-/// the injector seed and the fault's exact coordinates (round, unit,
-/// attempt) — enough to replay it — and the fault totals feed the
-/// `fault_*` metric counters.
+/// span (with [`sort_on`]'s round spans and events inside), every
+/// injected fault becomes a `fault-injected` event carrying the injector
+/// seed and the fault's exact coordinates (round, unit, attempt) —
+/// enough to replay it — and the fault totals feed the `fault_*` metric
+/// counters.
 ///
 /// ```
 /// use wcms_gpu_sim::fault::{FaultConfig, FaultInjector};
@@ -414,11 +612,13 @@ impl FaultReport {
 ///
 /// # Errors
 ///
-/// [`WcmsError::InvalidLength`] for a non-`bE·2^m` input, and
+/// [`WcmsError::InvalidLength`] for a non-`bE·2^m` input,
 /// [`WcmsError::FaultUnrecoverable`] when a unit exhausts its retries
-/// with CPU fallback disabled. With `cpu_fallback` on, injected faults
-/// never surface as errors — only as entries in the [`FaultReport`].
-pub fn sort_resilient_on<K: wcms_gpu_sim::GpuKey>(
+/// with CPU fallback disabled, and the backend's own non-fault errors
+/// (e.g. [`WcmsError::Cancelled`]). With `cpu_fallback` on, injected
+/// faults never surface as errors — only as entries in the
+/// [`FaultReport`].
+pub fn sort_resilient_on<K: GpuKey>(
     input: &[K],
     params: &SortParams,
     backend: &impl ExecBackend,
@@ -426,410 +626,7 @@ pub fn sort_resilient_on<K: wcms_gpu_sim::GpuKey>(
     injector: &FaultInjector,
     policy: &RecoveryPolicy,
 ) -> Result<(Vec<K>, SortReport, FaultReport), WcmsError> {
-    let (algo, obs) = (spec.algorithm.instance(), spec.obs);
-    let n = input.len();
-    if !params.valid_len(n) {
-        return Err(WcmsError::InvalidLength { n, block_elems: params.block_elems() });
-    }
-    let be = params.block_elems();
-    let mut fault = FaultReport::default();
-    let _sort_span = span!(obs, "sort-resilient", n => n, backend => backend.name());
-
-    // --- Base case: block-granular retry, round index 0.
-    let block_results: Vec<(Vec<K>, RoundCounters, FaultReport)> = input
-        .par_chunks(be)
-        .enumerate()
-        .map(|(j, chunk)| resilient_base_block(chunk, j, params, injector, policy, backend, obs))
-        .collect::<Result<_, _>>()?;
-    let mut base = RoundCounters::default();
-    let mut cur = Vec::with_capacity(n);
-    for (chunk, c, f) in block_results {
-        base.absorb(&c);
-        fault.absorb(&f);
-        cur.extend(chunk);
-    }
-
-    // --- Global merge rounds: group-granular retry (the merged group is
-    // the smallest unit whose output multiset is known in advance).
-    let mut runs: Vec<RunSpan> = (0..n / be).map(|i| (i * be, be)).collect();
-    let mut rounds = Vec::with_capacity(params.global_rounds(n));
-    let mut round = 0usize;
-    while runs.len() > 1 {
-        round += 1;
-        let g = algo.fan_in(runs.len()).clamp(2, runs.len());
-        let groups: Vec<&[RunSpan]> = runs.chunks(g).collect();
-
-        let group_results: Vec<(Vec<K>, RoundCounters, FaultReport)> = groups
-            .par_iter()
-            .enumerate()
-            .map(|(gi, grp)| {
-                let base = grp[0].0;
-                let total: usize = grp.iter().map(|r| r.1).sum();
-                let group_input = &cur[base..base + total];
-                match grp.len() {
-                    1 => {
-                        Ok((group_input.to_vec(), RoundCounters::default(), FaultReport::default()))
-                    }
-                    2 => resilient_merge_pair(
-                        group_input,
-                        grp[0].1,
-                        gi,
-                        round,
-                        params,
-                        injector,
-                        policy,
-                        backend,
-                        obs,
-                    ),
-                    _ => {
-                        let lens: Vec<usize> = grp.iter().map(|r| r.1).collect();
-                        resilient_merge_multi(
-                            group_input,
-                            &lens,
-                            base,
-                            gi,
-                            round,
-                            params,
-                            injector,
-                            policy,
-                            backend,
-                            obs,
-                        )
-                    }
-                }
-            })
-            .collect::<Result<_, _>>()?;
-
-        let mut round_counters = RoundCounters::default();
-        let mut next = Vec::with_capacity(n);
-        let mut next_runs = Vec::with_capacity(groups.len());
-        for (grp, (chunk, c, f)) in groups.iter().zip(group_results) {
-            next_runs.push((grp[0].0, chunk.len()));
-            round_counters.absorb(&c);
-            fault.absorb(&f);
-            next.extend(chunk);
-        }
-        rounds.push(round_counters);
-        cur = next;
-        runs = next_runs;
-    }
-
-    let report = SortReport { params: *params, n, base, rounds };
-    observe_report(obs, &report);
-    if obs.is_active() {
-        let c = &fault.counters;
-        obs.metrics.counter("faults_injected_total").add((c.tile_faults + c.corank_faults) as u64);
-        obs.metrics.counter("faults_detected_total").add(c.detected as u64);
-        obs.metrics.counter("fault_retries_total").add(c.retries as u64);
-        obs.metrics.counter("fault_cpu_fallbacks_total").add(c.cpu_fallbacks as u64);
-    }
-    Ok((cur, report, fault))
-}
-
-/// One base-case block under injection: sort the chunk, check the
-/// output, retry from the immutable `chunk` on detection.
-#[allow(clippy::too_many_arguments)] // internal retry-loop plumbing
-fn resilient_base_block<K: wcms_gpu_sim::GpuKey>(
-    chunk: &[K],
-    j: usize,
-    params: &SortParams,
-    injector: &FaultInjector,
-    policy: &RecoveryPolicy,
-    backend: &impl ExecBackend,
-    obs: &Obs,
-) -> Result<(Vec<K>, RoundCounters, FaultReport), WcmsError> {
-    let be = params.block_elems();
-    let expect_hash = multiset_hash(chunk);
-    let mut f = FaultReport::default();
-
-    for attempt in 0..=policy.max_retries {
-        if attempt > 0 {
-            f.counters.retries += 1;
-        }
-        // Inject: bit-flips in the keys this block loads into its tile.
-        let result = if injector.tile_fault_at(0, j, attempt) {
-            let mut tile = chunk.to_vec();
-            f.counters.tile_faults += 1;
-            f.counters.bits_flipped += injector.flip_tile_bits(&mut tile, 0, j, attempt);
-            event!(obs, "fault-injected",
-                kind => "tile-bitflip",
-                seed => injector.config().seed,
-                round => 0usize,
-                unit => j,
-                attempt => attempt);
-            backend.base_block(&tile, j * be, params)
-        } else {
-            backend.base_block(chunk, j * be, params)
-        };
-        match result {
-            Ok((out, c)) => {
-                if check_round_output(&out, chunk.len(), expect_hash, 0, j).is_ok() {
-                    return Ok((out, c, f));
-                }
-                f.counters.detected += 1;
-            }
-            Err(_kernel_fault) => f.counters.detected += 1,
-        }
-    }
-
-    if !policy.cpu_fallback {
-        return Err(WcmsError::FaultUnrecoverable {
-            round: 0,
-            block: j,
-            retries: policy.max_retries,
-        });
-    }
-    f.counters.cpu_fallbacks += 1;
-    f.degraded.push((0, j));
-    let (out, _) = ReferenceBackend.base_block(chunk, j * be, params)?;
-    Ok((out, RoundCounters::default(), f))
-}
-
-/// One merged pair of one global round under injection: run every block
-/// of the pair, check the assembled pair output, retry the whole pair
-/// from the immutable round input on detection.
-#[allow(clippy::too_many_arguments)] // internal retry-loop plumbing
-fn resilient_merge_pair<K: wcms_gpu_sim::GpuKey>(
-    pair_input: &[K],
-    list_len: usize,
-    pair: usize,
-    round: usize,
-    params: &SortParams,
-    injector: &FaultInjector,
-    policy: &RecoveryPolicy,
-    backend: &impl ExecBackend,
-    obs: &Obs,
-) -> Result<(Vec<K>, RoundCounters, FaultReport), WcmsError> {
-    let be = params.block_elems();
-    let pair_len = pair_input.len();
-    let blocks_per_pair = pair_len / be;
-    let a = &pair_input[..list_len];
-    let b = &pair_input[list_len..];
-    let pair_base = pair * pair_len;
-    let expect_hash = multiset_hash(pair_input);
-    let mut f = FaultReport::default();
-
-    for attempt in 0..=policy.max_retries {
-        if attempt > 0 {
-            f.counters.retries += 1;
-        }
-        // The Modern GPU partition kernel reruns with the rest of the
-        // attempt (its co-ranks are inputs to every merge block).
-        let partitions = (params.variant == SortVariant::ModernGpu)
-            .then(|| backend.partition_unit(a, b, blocks_per_pair, params));
-        let mut counters = partitions.as_ref().map(|(_, c)| *c).unwrap_or_default();
-        let mut out = Vec::with_capacity(pair_len);
-        let mut kernel_fault = false;
-
-        for j in 0..blocks_per_pair {
-            let block = pair * blocks_per_pair + j; // kernel-wide block id
-            let mut pre = partitions.as_ref().map(|(coranks, _)| coranks[j]);
-
-            // Inject: corrupt the block's co-rank pair (models a faulty
-            // partition kernel or a torn read of the partition array).
-            if injector.corank_fault_at(round, block, attempt) {
-                let correct = pre.unwrap_or_else(|| {
-                    let diag = j * be;
-                    (
-                        merge_path(diag, a.len(), b.len(), |i| a[i], |x| b[x]),
-                        merge_path(diag + be, a.len(), b.len(), |i| a[i], |x| b[x]),
-                    )
-                });
-                pre = Some(injector.corrupt_corank(correct, round, block, attempt));
-                f.counters.corank_faults += 1;
-                event!(obs, "fault-injected",
-                    kind => "corank",
-                    seed => injector.config().seed,
-                    round => round,
-                    unit => block,
-                    attempt => attempt);
-            }
-
-            // Inject: bit-flips in the pair data this block reads.
-            let result = if injector.tile_fault_at(round, block, attempt) {
-                let mut tile = pair_input.to_vec();
-                f.counters.tile_faults += 1;
-                f.counters.bits_flipped +=
-                    injector.flip_tile_bits(&mut tile, round, block, attempt);
-                event!(obs, "fault-injected",
-                    kind => "tile-bitflip",
-                    seed => injector.config().seed,
-                    round => round,
-                    unit => block,
-                    attempt => attempt);
-                let (ta, tb) = tile.split_at(list_len);
-                backend.merge_unit(ta, tb, pair_base, pair_base + list_len, j, params, pre)
-            } else {
-                backend.merge_unit(a, b, pair_base, pair_base + list_len, j, params, pre)
-            };
-            match result {
-                Ok((chunk, c)) => {
-                    counters.absorb(&c);
-                    out.extend(chunk);
-                }
-                Err(
-                    WcmsError::PartitionValidation { .. }
-                    | WcmsError::SmemOutOfBounds { .. }
-                    | WcmsError::CrewViolation { .. }
-                    | WcmsError::CorruptOutput { .. },
-                ) => {
-                    f.counters.detected += 1;
-                    kernel_fault = true;
-                    break;
-                }
-                Err(other) => return Err(other),
-            }
-        }
-
-        if !kernel_fault {
-            if check_round_output(&out, pair_len, expect_hash, round, pair).is_ok() {
-                return Ok((out, counters, f));
-            }
-            f.counters.detected += 1;
-        }
-    }
-
-    if !policy.cpu_fallback {
-        return Err(WcmsError::FaultUnrecoverable {
-            round,
-            block: pair,
-            retries: policy.max_retries,
-        });
-    }
-    f.counters.cpu_fallbacks += 1;
-    f.degraded.push((round, pair));
-    Ok((ReferenceBackend.merge_pair(a, b), RoundCounters::default(), f))
-}
-
-/// One merged *multiway* group of one global round under injection — the
-/// k-way analogue of [`resilient_merge_pair`]: run every block of the
-/// group, check the assembled group output, retry the whole group from
-/// the immutable round input on detection, degrade to the CPU k-way
-/// merge on exhaustion.
-#[allow(clippy::too_many_arguments)] // internal retry-loop plumbing
-fn resilient_merge_multi<K: wcms_gpu_sim::GpuKey>(
-    group_input: &[K],
-    member_lens: &[usize],
-    group_base: usize,
-    group: usize,
-    round: usize,
-    params: &SortParams,
-    injector: &FaultInjector,
-    policy: &RecoveryPolicy,
-    backend: &impl ExecBackend,
-    obs: &Obs,
-) -> Result<(Vec<K>, RoundCounters, FaultReport), WcmsError> {
-    let be = params.block_elems();
-    let total = group_input.len();
-    let blocks = total / be;
-    let refs = split_runs(group_input, member_lens);
-    let run_offsets: Vec<usize> = {
-        let mut offs = Vec::with_capacity(member_lens.len());
-        let mut off = group_base;
-        for &l in member_lens {
-            offs.push(off);
-            off += l;
-        }
-        offs
-    };
-    let expect_hash = multiset_hash(group_input);
-    let mut f = FaultReport::default();
-
-    for attempt in 0..=policy.max_retries {
-        if attempt > 0 {
-            f.counters.retries += 1;
-        }
-        let partitions = (params.variant == SortVariant::ModernGpu)
-            .then(|| backend.partition_unit_multi(&refs, blocks, params));
-        let mut counters = partitions.as_ref().map(|(_, c)| *c).unwrap_or_default();
-        let mut out = Vec::with_capacity(total);
-        let mut kernel_fault = false;
-
-        for j in 0..blocks {
-            let block = group_base / be + j; // kernel-wide block id
-            let mut pre: Option<Vec<(usize, usize)>> =
-                partitions.as_ref().map(|(coranks, _)| coranks[j].clone());
-
-            // Inject: corrupt one run's co-rank pair (models a faulty
-            // partition kernel or a torn read of the partition array).
-            if injector.corank_fault_at(round, block, attempt) {
-                let mut pairs = pre.take().unwrap_or_else(|| {
-                    let starts = multiway_select(member_lens, j * be, |i, x| refs[i][x]);
-                    let ends = multiway_select(member_lens, (j + 1) * be, |i, x| refs[i][x]);
-                    starts.into_iter().zip(ends).collect()
-                });
-                pairs[0] = injector.corrupt_corank(pairs[0], round, block, attempt);
-                f.counters.corank_faults += 1;
-                event!(obs, "fault-injected",
-                    kind => "corank",
-                    seed => injector.config().seed,
-                    round => round,
-                    unit => block,
-                    attempt => attempt);
-                pre = Some(pairs);
-            }
-
-            // Inject: bit-flips in the group data this block reads.
-            let result = if injector.tile_fault_at(round, block, attempt) {
-                let mut tile = group_input.to_vec();
-                f.counters.tile_faults += 1;
-                f.counters.bits_flipped +=
-                    injector.flip_tile_bits(&mut tile, round, block, attempt);
-                event!(obs, "fault-injected",
-                    kind => "tile-bitflip",
-                    seed => injector.config().seed,
-                    round => round,
-                    unit => block,
-                    attempt => attempt);
-                let trefs = split_runs(&tile, member_lens);
-                backend.merge_unit_multi(
-                    &trefs,
-                    &run_offsets,
-                    group_base,
-                    j,
-                    params,
-                    pre.as_deref(),
-                )
-            } else {
-                backend.merge_unit_multi(&refs, &run_offsets, group_base, j, params, pre.as_deref())
-            };
-            match result {
-                Ok((chunk, c)) => {
-                    counters.absorb(&c);
-                    out.extend(chunk);
-                }
-                Err(
-                    WcmsError::PartitionValidation { .. }
-                    | WcmsError::SmemOutOfBounds { .. }
-                    | WcmsError::CrewViolation { .. }
-                    | WcmsError::CorruptOutput { .. },
-                ) => {
-                    f.counters.detected += 1;
-                    kernel_fault = true;
-                    break;
-                }
-                Err(other) => return Err(other),
-            }
-        }
-
-        if !kernel_fault {
-            if check_round_output(&out, total, expect_hash, round, group).is_ok() {
-                return Ok((out, counters, f));
-            }
-            f.counters.detected += 1;
-        }
-    }
-
-    if !policy.cpu_fallback {
-        return Err(WcmsError::FaultUnrecoverable {
-            round,
-            block: group,
-            retries: policy.max_retries,
-        });
-    }
-    f.counters.cpu_fallbacks += 1;
-    f.degraded.push((round, group));
-    Ok((ReferenceBackend.merge_group(&refs), RoundCounters::default(), f))
+    run_sort(input, params, spec.algorithm.instance(), backend, spec.obs, Some((injector, policy)))
 }
 
 #[cfg(test)]
@@ -901,7 +698,7 @@ mod tests {
     }
 
     use crate::algorithm::{MultiwayMerge, PairwiseMerge};
-    use crate::backend::{AnalyticBackend, BackendKind};
+    use crate::backend::{AnalyticBackend, BackendKind, Cancellable};
     use wcms_error::CancelToken;
 
     #[test]
@@ -910,8 +707,13 @@ mod tests {
             let n = p.block_elems() * 8;
             let input: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(2_654_435_761)).collect();
             let default = sim_sort(&input, &p).unwrap();
-            let algo = run_sort(&input, &p, &PairwiseMerge, &SimBackend, Obs::noop()).unwrap();
-            assert_eq!(default, algo, "the default spec must be the paper's pairwise sort");
+            let (out, report, _) =
+                run_sort(&input, &p, &PairwiseMerge, &SimBackend, Obs::noop(), None).unwrap();
+            assert_eq!(
+                default,
+                (out, report),
+                "the default spec must be the paper's pairwise sort"
+            );
         }
     }
 
@@ -955,7 +757,7 @@ mod tests {
         let mut want = input.clone();
         want.sort_unstable();
         let algo = MultiwayMerge { k: 3 };
-        let (out, report) = run_sort(&input, &p, &algo, &SimBackend, Obs::noop()).unwrap();
+        let (out, report, _) = run_sort(&input, &p, &algo, &SimBackend, Obs::noop(), None).unwrap();
         assert_eq!(out, want);
         assert_eq!(report.rounds.len(), 2);
     }
@@ -1136,6 +938,32 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, WcmsError::FaultUnrecoverable { round: 0, retries: 1, .. }), "{err}");
+    }
+
+    /// Cancellation is not a fault: a fired token stops the resilient
+    /// sort with `Cancelled` at the first unit, unretried and never
+    /// degraded to the CPU, for one block as for many. A live token
+    /// leaves the fault ledger clean.
+    #[test]
+    fn cancellation_is_not_retried_as_a_fault() {
+        let p = params();
+        let (inj, policy) = (FaultInjector::disabled(), RecoveryPolicy::default());
+        for blocks in [1, 4] {
+            let input: Vec<u32> = (0..(p.block_elems() * blocks) as u32).rev().collect();
+            let fired = CancelToken::new("cell");
+            fired.cancel();
+            let backend = Cancellable::new(SimBackend, fired);
+            let err = sort_resilient_on(&input, &p, &backend, &SortSpec::default(), &inj, &policy)
+                .unwrap_err();
+            assert!(matches!(err, WcmsError::Cancelled { .. }), "{blocks} blocks: {err}");
+
+            let backend = Cancellable::new(SimBackend, CancelToken::new("cell"));
+            let (out, rep, faults) =
+                sort_resilient_on(&input, &p, &backend, &SortSpec::default(), &inj, &policy)
+                    .unwrap();
+            assert_eq!((out, rep), sim_sort(&input, &p).unwrap(), "{blocks} blocks");
+            assert!(faults.clean(), "{blocks} blocks: {faults:?}");
+        }
     }
 
     /// Co-rank corruption — whether it trips the kernel's structural

@@ -25,11 +25,13 @@
 //! report into a one-call verdict on how adversarial an arbitrary
 //! workload is for a tuning.
 //!
-//! [`driver::sort_resilient_on`] runs the same pipeline under a seeded
-//! [`wcms_gpu_sim::fault::FaultInjector`] with per-round corruption
-//! checks ([`verify::check_round_output`]), bounded retry from each
-//! unit's immutable input, and CPU-reference degradation — transient
-//! faults are detected and recovered, never silently propagated.
+//! [`driver::sort_resilient_on`] runs the same pipeline — one round
+//! loop — with a fault layer over its work units: a seeded
+//! [`wcms_gpu_sim::fault::FaultInjector`] strikes them, per-unit
+//! corruption checks ([`verify::check_round_output`]) catch the
+//! strikes, and bounded retry from each unit's immutable input then
+//! CPU-reference degradation recover — transient faults are detected
+//! and recovered, never silently propagated.
 //!
 //! Both drivers are generic over a pluggable [`backend::ExecBackend`]
 //! that executes one work unit at a time: the cycle-accurate

@@ -116,11 +116,10 @@ impl Value {
 /// [`ParseError::Syntax`] naming the byte offset and what was expected
 /// there, or [`ParseError::TooDeep`] past [`MAX_DEPTH`] levels.
 pub fn parse(text: &str) -> Parsed<Value> {
-    let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let value = parse_value(text, &mut pos, 0)?;
+    skip_ws(text.as_bytes(), &mut pos);
+    if pos != text.len() {
         return syntax(pos, "trailing characters after the document");
     }
     Ok(value)
@@ -132,13 +131,16 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Parsed<Value> {
+// The readers below take the document as `&str` and advance `pos` only
+// past ASCII bytes or whole strings, so `pos` is always a char boundary.
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Parsed<Value> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         Some(b'{' | b'[') if depth == MAX_DEPTH => Err(ParseError::TooDeep(*pos)),
-        Some(b'{') => parse_object(bytes, pos, depth + 1),
-        Some(b'[') => parse_array(bytes, pos, depth + 1),
-        Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
+        Some(b'{') => parse_object(text, pos, depth + 1),
+        Some(b'[') => parse_array(text, pos, depth + 1),
+        Some(b'"') => Ok(Value::Str(parse_string(text, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Value::Bool(false)),
         Some(b'n') => parse_literal(bytes, pos, "null", Value::Null),
@@ -172,7 +174,8 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Parsed<Value> {
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Parsed<String> {
+fn parse_string(text: &str, pos: &mut usize) -> Parsed<String> {
+    let bytes = text.as_bytes();
     debug_assert_eq!(bytes.get(*pos), Some(&b'"'));
     *pos += 1;
     let mut out = String::new();
@@ -210,19 +213,20 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Parsed<String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (possibly multi-byte).
-                let rest = std::str::from_utf8(&bytes[*pos..]);
-                let Some(c) = rest.ok().and_then(|r| r.chars().next()) else {
-                    return syntax(*pos, "invalid UTF-8");
-                };
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run of plain characters up to the next quote
+                // or backslash; both are ASCII, so it ends on a char
+                // boundary of the already-valid `text`.
+                let run = bytes[*pos..].iter().position(|&b| b == b'"' || b == b'\\');
+                let end = run.map_or(bytes.len(), |len| *pos + len);
+                out.push_str(&text[*pos..end]);
+                *pos = end;
             }
         }
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Parsed<Value> {
+fn parse_array(text: &str, pos: &mut usize, depth: usize) -> Parsed<Value> {
+    let bytes = text.as_bytes();
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -231,7 +235,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Parsed<Value> {
         return Ok(Value::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos, depth)?);
+        items.push(parse_value(text, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -244,7 +248,8 @@ fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Parsed<Value> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Parsed<Value> {
+fn parse_object(text: &str, pos: &mut usize, depth: usize) -> Parsed<Value> {
+    let bytes = text.as_bytes();
     *pos += 1; // '{'
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -257,13 +262,13 @@ fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Parsed<Value> {
         if bytes.get(*pos) != Some(&b'"') {
             return syntax(*pos, "expected a string key");
         }
-        let key = parse_string(bytes, pos)?;
+        let key = parse_string(text, pos)?;
         skip_ws(bytes, pos);
         if bytes.get(*pos) != Some(&b':') {
             return syntax(*pos, "expected ':'");
         }
         *pos += 1;
-        let value = parse_value(bytes, pos, depth)?;
+        let value = parse_value(text, pos, depth)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -359,6 +364,22 @@ mod tests {
         assert!(parse(&nest(MAX_DEPTH)).is_ok(), "MAX_DEPTH levels must parse");
         assert_eq!(parse(&nest(MAX_DEPTH + 1)), Err(ParseError::TooDeep(MAX_DEPTH)));
         assert!(matches!(parse(&"{\"a\":".repeat(1 << 16)), Err(ParseError::TooDeep(_))));
+    }
+
+    /// A string costs time linear in its length: a 1 MiB string of
+    /// mixed one- and multi-byte characters and escapes parses well
+    /// inside a second (a reader that rescans the rest of the document
+    /// per character needs tens of seconds).
+    #[test]
+    fn a_megabyte_string_parses_in_linear_time() {
+        let unit = "abcé→\\n\\u0041😀";
+        let body = unit.repeat((1 << 20) / unit.len());
+        let want: String = body.replace("\\n", "\n").replace("\\u0041", "A");
+        let started = std::time::Instant::now();
+        let parsed = parse(&format!("\"{body}\""));
+        let took = started.elapsed();
+        assert_eq!(parsed, Ok(Value::Str(want)));
+        assert!(took < std::time::Duration::from_secs(1), "1 MiB string took {took:?}");
     }
 
     #[test]

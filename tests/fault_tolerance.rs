@@ -7,6 +7,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use wcms::adversary::WorstCaseBuilder;
 use wcms::gpu::fault::{FaultConfig, FaultInjector};
+use wcms::gpu::FaultCounters;
 
 use wcms::mergesort::{
     sort_on, sort_resilient_on, AlgorithmKind, RecoveryPolicy, SimBackend, SortParams, SortSpec,
@@ -197,6 +198,101 @@ fn traced_resilient_sort_reports_every_fault_once() {
         assert_eq!(metric("faults_detected_total"), c.detected);
         assert_eq!(metric("fault_retries_total"), c.retries);
         assert_eq!(metric("fault_cpu_fallbacks_total"), c.cpu_fallbacks);
+    }
+}
+
+/// The fault ledger of `fault_demo`'s three configurations, pinned for
+/// both algorithms: which faults strike, where they are detected, how
+/// many retries they cost and which units degrade stays exactly as it
+/// is. Any change to an injection coordinate moves these numbers.
+#[test]
+fn fault_ledger_is_pinned_at_fixed_seeds() {
+    let p = thrust_like();
+    let n = p.block_elems() * 16;
+    let input = WorstCaseBuilder::new(p.w, p.e, p.b).unwrap().build(n).unwrap();
+    let transient = FaultConfig {
+        seed: 42,
+        tile_bitflip_rate: 0.25,
+        corank_rate: 0.25,
+        ..FaultConfig::default()
+    };
+    let hard = FaultConfig { seed: 42, tile_bitflip_rate: 1.0, ..FaultConfig::default() };
+    // (tile faults = bits flipped, corank faults, detected, retries, CPU fallbacks).
+    let ledger = |tile, corank, detected, retries, cpu_fallbacks| FaultCounters {
+        tile_faults: tile,
+        bits_flipped: tile,
+        corank_faults: corank,
+        detected,
+        retries,
+        cpu_fallbacks,
+    };
+    let base_case: Vec<(usize, usize)> = (0..16).map(|j| (0, j)).collect();
+    let cases = [
+        (AlgorithmKind::Pairwise, FaultConfig::default(), ledger(0, 0, 0, 0, 0), vec![]),
+        (
+            AlgorithmKind::Pairwise,
+            transient,
+            ledger(38, 45, 26, 20, 6),
+            vec![(1, 1), (2, 1), (2, 2), (3, 0), (3, 1), (4, 0)],
+        ),
+        (
+            AlgorithmKind::Pairwise,
+            hard,
+            ledger(209, 0, 75, 53, 22),
+            [&base_case[..], &[(1, 0), (1, 1), (1, 3), (2, 2), (3, 0), (3, 1)]].concat(),
+        ),
+        (AlgorithmKind::Multiway, FaultConfig::default(), ledger(0, 0, 0, 0, 0), vec![]),
+        (AlgorithmKind::Multiway, transient, ledger(10, 6, 10, 8, 2), vec![(1, 0), (2, 0)]),
+        (
+            AlgorithmKind::Multiway,
+            hard,
+            ledger(120, 0, 57, 38, 19),
+            [&base_case[..], &[(1, 1), (1, 2), (2, 0)]].concat(),
+        ),
+    ];
+    for (algorithm, cfg, counters, degraded) in cases {
+        let spec = SortSpec { algorithm, ..SortSpec::default() };
+        let inj = FaultInjector::new(cfg);
+        let (out, _, faults) =
+            sort_resilient_on(&input, &p, &SimBackend, &spec, &inj, &RecoveryPolicy::default())
+                .unwrap();
+        assert!(out.windows(2).all(|w| w[0] <= w[1]), "{algorithm} {cfg:?}");
+        assert_eq!(faults.counters, counters, "{algorithm} {cfg:?}");
+        assert_eq!(faults.degraded, degraded, "{algorithm} {cfg:?}");
+    }
+}
+
+/// Both drivers run one round loop: with a disabled injector, the
+/// resilient sort emits the plain sort's `round-counters` events, field
+/// for field, for both algorithms.
+#[test]
+fn resilient_sort_emits_the_plain_round_events() {
+    let p = thrust_like();
+    let n = p.block_elems() * 16;
+    let input = WorstCaseBuilder::new(p.w, p.e, p.b).unwrap().build(n).unwrap();
+    for algorithm in AlgorithmKind::ALL {
+        let round_events = |resilient: bool| {
+            let ring = Arc::new(RingCollector::new());
+            let obs = Obs::with_recorder(ring.clone(), Clock::virtual_us(1));
+            let spec = SortSpec { algorithm, obs: &obs };
+            let report = if resilient {
+                let inj = FaultInjector::disabled();
+                let policy = RecoveryPolicy::default();
+                sort_resilient_on(&input, &p, &SimBackend, &spec, &inj, &policy).unwrap().1
+            } else {
+                sort_on(&input, &p, &SimBackend, &spec).unwrap().1
+            };
+            let (records, dropped) = ring.snapshot();
+            assert_eq!(dropped, 0);
+            let events: Vec<_> = records
+                .into_iter()
+                .filter(|r| r.name == "round-counters")
+                .map(|r| r.fields)
+                .collect();
+            assert_eq!(events.len(), 1 + report.rounds.len(), "{algorithm}: one per kernel");
+            events
+        };
+        assert_eq!(round_events(true), round_events(false), "{algorithm}");
     }
 }
 
